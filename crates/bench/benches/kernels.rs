@@ -4,16 +4,15 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ndsnn_snn::layers::{Layer, LifConfig, LifLayer};
-use ndsnn_sparse::csr::CsrMatrix;
 use ndsnn_sparse::kernels::{drop_by_magnitude, grow_by_gradient, random_mask};
 use ndsnn_tensor::ops::conv::{
     conv2d_backward, conv2d_backward_exec, conv2d_forward, conv2d_forward_exec, Conv2dGeometry,
 };
 use ndsnn_tensor::ops::matmul::{matmul, matmul_a_bt};
-use ndsnn_tensor::ops::spmm::{sp_gy_w, sp_xwt, RowPattern};
+use ndsnn_tensor::ops::spmm::{sp_gy_w, sp_xwt};
 use ndsnn_tensor::parallel::run_serial;
 use ndsnn_tensor::scratch::ScratchPool;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn bench_lif(c: &mut Criterion) {
@@ -78,10 +77,10 @@ fn bench_sparse_matmul(c: &mut Criterion) {
             &sparsity,
             |b, _| b.iter(|| matmul(black_box(&x), black_box(&w)).unwrap()),
         );
-        // Production sparse path for comparison: the index-only RowPattern
+        // Production sparse path for comparison: the index-only Csr plan
         // and `sp_xwt`, exactly what the training engine dispatches.
         let wt = w.transpose2d().unwrap();
-        let pat = ndsnn_tensor::ops::spmm::RowPattern::from_mask(256, 256, wt.as_slice());
+        let pat = Csr::from_mask(256, 256, wt.as_slice());
         let xv: Vec<f32> = x.as_slice()[..256].to_vec();
         group.bench_with_input(
             BenchmarkId::new("row_pattern_spmv", format!("{sparsity:.2}")),
@@ -89,7 +88,7 @@ fn bench_sparse_matmul(c: &mut Criterion) {
             |b, _| {
                 let mut y = vec![0.0f32; 256];
                 b.iter(|| {
-                    ndsnn_tensor::ops::spmm::sp_xwt(
+                    sp_xwt(
                         black_box(&pat),
                         black_box(wt.as_slice()),
                         black_box(&xv),
@@ -138,7 +137,7 @@ fn bench_csr_conversion(c: &mut Criterion) {
     let mask = random_mask(&[512, 512], 0.05, &mut rng);
     w.mul_assign(&mask).unwrap();
     group.bench_function("from_dense_512x512_95pct", |b| {
-        b.iter(|| CsrMatrix::from_dense(black_box(&w)).unwrap())
+        b.iter(|| Csr::from_weight(black_box(&w)).unwrap())
     });
     group.finish();
 }
@@ -159,7 +158,7 @@ fn bench_exec_engine(c: &mut Criterion) {
         let mut w = ndsnn_tensor::init::uniform([outf, inf], -1.0, 1.0, &mut rng);
         let mask = random_mask(&[outf, inf], 1.0 - sparsity, &mut rng);
         w.mul_assign(&mask).unwrap();
-        let pat = RowPattern::from_mask(outf, inf, mask.as_slice());
+        let pat = Csr::from_mask(outf, inf, mask.as_slice());
         let tag = format!("{sparsity:.2}");
         group.bench_with_input(
             BenchmarkId::new("linear_fwd_dense", &tag),
@@ -195,7 +194,7 @@ fn bench_exec_engine(c: &mut Criterion) {
         let mut cw = ndsnn_tensor::init::uniform(g.weight_dims(), -0.2, 0.2, &mut rng);
         let cmask = random_mask(&g.weight_dims(), 1.0 - sparsity, &mut rng);
         cw.mul_assign(&cmask).unwrap();
-        let cpat = RowPattern::from_mask(g.out_channels, g.col_rows(), cmask.as_slice());
+        let cpat = Csr::from_mask(g.out_channels, g.col_rows(), cmask.as_slice());
         let pool = ScratchPool::new();
         group.bench_with_input(
             BenchmarkId::new("conv_fwd_dense", &tag),

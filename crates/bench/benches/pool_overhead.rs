@@ -1,19 +1,18 @@
-//! Benchmarks of the persistent worker pool against the legacy per-call
-//! scoped-spawn dispatcher (DESIGN.md §10).
+//! Benchmarks of the persistent worker pool (DESIGN.md §10).
 //!
 //! Two levels:
 //!
 //! 1. `dispatch/*` — a tiny fixed kernel dispatched through
-//!    [`parallel_for_chunks`] under each [`DispatchMode`], isolating pure
-//!    dispatch cost (thread spawn/join vs condvar wakeup of parked workers).
+//!    [`for_chunks_mut`] at 2 threads, isolating pure dispatch cost (condvar
+//!    wakeup of parked workers).
 //! 2. `train_step/*` — a full BPTT training iteration on the Small-profile
-//!    VGG workload at pool@1, pool@4 and scoped@4. scoped@4 is exactly the
-//!    PR 3 engine's behavior, so `scoped@4 / pool@4` is the end-to-end
-//!    speedup the pool buys.
+//!    VGG workload at pool@1 and pool@2 (2 being the core count of the
+//!    reference bench host), so `pool@1 / pool@2` is the end-to-end speedup
+//!    threading buys.
 //!
 //! The summary record appended to `NDSNN_BENCH_JSON`
-//! (`results/bench_pool.json`) carries both speedups plus an explicit
-//! bit-identity check of per-batch losses between pool@1 and pool@4.
+//! (`results/bench_pool.json`) carries that speedup plus an explicit
+//! bit-identity check of per-batch losses between pool@1 and pool@2.
 
 use std::io::Write as _;
 
@@ -23,9 +22,10 @@ use ndsnn::profile::Profile;
 use ndsnn::trainer::{build_datasets, build_network};
 use ndsnn_snn::models::Architecture;
 use ndsnn_snn::optim::Sgd;
-use ndsnn_tensor::parallel::{
-    for_chunks_mut, set_dispatch_mode, set_thread_override, DispatchMode,
-};
+use ndsnn_tensor::parallel::{for_chunks_mut, set_thread_override};
+
+/// Worker threads of the threaded variants.
+const THREADS: usize = 2;
 
 /// Small-profile VGG-16 at batch 4. Dispatch cost is per layer × timestep —
 /// independent of the batch dimension — so a lean batch keeps the GEMM work
@@ -56,19 +56,8 @@ fn step_once(rig: &mut Rig, batch: &ndsnn_data::loader::Batch) -> f32 {
     stats.loss
 }
 
-/// Pulls the `median_ns` of the last JSON line whose id matches, if the
-/// bench-JSON file is being written.
-fn median_from_json(path: &str, id: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let needle = format!("\"id\":\"{id}\"");
-    let line = text.lines().rev().find(|l| l.contains(&needle))?;
-    let rest = line.split("\"median_ns\":").nth(1)?;
-    rest.split(&[',', '}'][..]).next()?.trim().parse().ok()
-}
-
 fn bench_pool_overhead(c: &mut Criterion) {
-    // ---- Bit-identity check (untimed): pool@1 vs pool@4 loss trajectory. ----
-    set_dispatch_mode(DispatchMode::Pool);
+    // ---- Bit-identity check (untimed): pool@1 vs pool@2 loss trajectory. ----
     let cfg = small_cfg();
     let (train, _) = build_datasets(&cfg);
     let loader = ndsnn_data::loader::BatchLoader::eval(cfg.batch_size);
@@ -78,91 +67,77 @@ fn bench_pool_overhead(c: &mut Criterion) {
     {
         set_thread_override(Some(1));
         let mut rig1 = build_rig(&cfg);
-        set_thread_override(Some(4));
-        let mut rig4 = build_rig(&cfg);
+        set_thread_override(Some(THREADS));
+        let mut rig_t = build_rig(&cfg);
         for _ in 0..3 {
             set_thread_override(Some(1));
             let l1 = step_once(&mut rig1, &batch);
-            set_thread_override(Some(4));
-            let l4 = step_once(&mut rig4, &batch);
-            if l1.to_bits() != l4.to_bits() {
+            set_thread_override(Some(THREADS));
+            let lt = step_once(&mut rig_t, &batch);
+            if l1.to_bits() != lt.to_bits() {
                 losses_bit_identical = false;
-                eprintln!("pool_overhead: loss diverged across thread counts: {l1} vs {l4}");
+                eprintln!("pool_overhead: loss diverged across thread counts: {l1} vs {lt}");
             }
         }
         set_thread_override(None);
     }
     println!("pool_overhead: losses_bit_identical={losses_bit_identical}");
 
-    // ---- Pure dispatch cost: same 4-chunk kernel, both dispatchers. ----
+    // ---- Pure dispatch cost: a 4-chunk kernel on the pool. ----
     let mut group = c.benchmark_group("dispatch");
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(2));
     group.sample_size(20);
     let src = vec![1.0f32; 1 << 16];
-    for (label, mode) in [
-        ("pool", DispatchMode::Pool),
-        ("scoped", DispatchMode::Scoped),
-    ] {
-        group.bench_with_input(BenchmarkId::new("axpy_64k", label), &label, |b, _| {
-            set_thread_override(Some(4));
-            set_dispatch_mode(mode);
-            let mut out = vec![0.0f32; 1 << 16];
-            b.iter(|| {
-                for_chunks_mut(&mut out, 1 << 14, |start, chunk| {
-                    for (j, v) in chunk.iter_mut().enumerate() {
-                        *v += src[start + j] * 0.5;
-                    }
-                });
-                black_box(out[0])
+    group.bench_with_input(BenchmarkId::new("axpy_64k", "pool"), &(), |b, _| {
+        set_thread_override(Some(THREADS));
+        let mut out = vec![0.0f32; 1 << 16];
+        b.iter(|| {
+            for_chunks_mut(&mut out, 1 << 14, |start, chunk| {
+                for (j, v) in chunk.iter_mut().enumerate() {
+                    *v += src[start + j] * 0.5;
+                }
             });
-            set_dispatch_mode(DispatchMode::Pool);
-            set_thread_override(None);
+            black_box(out[0])
         });
-    }
+        set_thread_override(None);
+    });
     group.finish();
 
-    // ---- Full training step: pool@1, pool@4, scoped@4, interleaved. ----
+    // ---- Full training step: pool@1 and pool@2, interleaved. ----
     // Sequential per-variant timing loops are hostage to machine-load drift
     // (CPU steal shifts whole variants by 2× on shared hosts). Instead every
-    // round times one step of *each* variant back to back, so all three
-    // sample the same noise distribution, and the per-variant median over
-    // rounds compares like with like.
-    let variants: [(&str, DispatchMode, usize); 3] = [
-        ("pool_t1", DispatchMode::Pool, 1),
-        ("pool_t4", DispatchMode::Pool, 4),
-        ("scoped_t4", DispatchMode::Scoped, 4),
-    ];
+    // round times one step of *each* variant back to back, so both sample
+    // the same noise distribution, and the per-variant median over rounds
+    // compares like with like.
+    let variants: [(&str, usize); 2] = [("pool_t1", 1), ("pool_t2", THREADS)];
     const ROUNDS: usize = 40;
     let mut rigs: Vec<Rig> = variants.iter().map(|_| build_rig(&cfg)).collect();
     let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(ROUNDS); variants.len()];
     // Warm-up: fault in every code path and spawn the pool workers.
-    for (rig, &(_, mode, threads)) in rigs.iter_mut().zip(&variants) {
+    for (rig, &(_, threads)) in rigs.iter_mut().zip(&variants) {
         set_thread_override(Some(threads));
-        set_dispatch_mode(mode);
         for _ in 0..2 {
             black_box(step_once(rig, &batch));
         }
     }
     for _ in 0..ROUNDS {
-        for (vi, &(_, mode, threads)) in variants.iter().enumerate() {
+        for (vi, &(_, threads)) in variants.iter().enumerate() {
             set_thread_override(Some(threads));
-            set_dispatch_mode(mode);
             let t0 = std::time::Instant::now();
             black_box(step_once(&mut rigs[vi], &batch));
             times[vi].push(t0.elapsed().as_nanos() as f64);
         }
     }
-    set_dispatch_mode(DispatchMode::Pool);
     set_thread_override(None);
     let median_of = |v: &[f64]| -> f64 {
         let mut s = v.to_vec();
         s.sort_by(f64::total_cmp);
         s[s.len() / 2]
     };
-    let mut step_medians = [0.0f64; 3];
+    let mut step_medians = [0.0f64; 2];
     let mut step_lines = String::new();
-    for (vi, &(label, _, _)) in variants.iter().enumerate() {
+    for (vi, &(label, _)) in variants.iter().enumerate() {
         let med = median_of(&times[vi]);
         let mean = times[vi].iter().sum::<f64>() / times[vi].len() as f64;
         step_medians[vi] = med;
@@ -183,23 +158,10 @@ fn bench_pool_overhead(c: &mut Criterion) {
     if path.is_empty() {
         return;
     }
-    let ratio = |num: Option<f64>, den: Option<f64>| -> f64 {
-        match (num, den) {
-            (Some(a), Some(b)) if b > 0.0 => a / b,
-            _ => 0.0,
-        }
-    };
-    let dispatch_speedup = ratio(
-        median_from_json(&path, "dispatch/axpy_64k/scoped"),
-        median_from_json(&path, "dispatch/axpy_64k/pool"),
-    );
-    let train_step_speedup = step_medians[2] / step_medians[1];
-    let t1_vs_t4 = step_medians[0] / step_medians[1];
+    let t1_vs_t2 = step_medians[0] / step_medians[1];
     let line = format!(
-        "{{\"id\":\"pool_overhead/summary\",\"threads\":4,\
-         \"dispatch_speedup\":{dispatch_speedup:.3},\
-         \"train_step_speedup\":{train_step_speedup:.3},\
-         \"pool_t1_over_t4\":{t1_vs_t4:.3},\
+        "{{\"id\":\"pool_overhead/summary\",\"threads\":{THREADS},\
+         \"pool_t1_over_t2\":{t1_vs_t2:.3},\
          \"losses_bit_identical\":{losses_bit_identical}}}\n"
     );
     print!("pool_overhead summary: {line}");

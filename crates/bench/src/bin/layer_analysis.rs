@@ -14,8 +14,8 @@ use ndsnn_metrics::table::TextTable;
 use ndsnn_snn::layers::Layer;
 use ndsnn_snn::models::Architecture;
 use ndsnn_snn::optim::Sgd;
-use ndsnn_sparse::csr::CsrMatrix;
 use ndsnn_sparse::memory::Precision;
+use ndsnn_tensor::Csr;
 
 fn main() {
     let cli = Cli::parse(
@@ -82,18 +82,7 @@ fn main() {
         if !param.is_sparsifiable() {
             return;
         }
-        let csr = match param.value.rank() {
-            4 => CsrMatrix::from_conv_weight(&param.value),
-            _ => {
-                let rows = param.value.dims()[0];
-                let cols: usize = param.value.dims()[1..].iter().product();
-                param
-                    .value
-                    .reshape([rows, cols])
-                    .map_err(ndsnn_sparse::SparseError::from)
-                    .and_then(|t| CsrMatrix::from_dense(&t))
-            }
-        };
+        let csr = Csr::from_weight(&param.value);
         let Ok(csr) = csr else { return };
         let bits = csr.storage_bits(p.weight_bits, p.index_bits);
         let dense_bits = param.len() as u64 * p.weight_bits as u64;

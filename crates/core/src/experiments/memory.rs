@@ -4,8 +4,8 @@
 
 use ndsnn_metrics::table::TextTable;
 use ndsnn_snn::models::Architecture;
-use ndsnn_sparse::csr::CsrMatrix;
 use ndsnn_sparse::memory::{dense_footprint_bits, footprint_bits_approx, Precision};
+use ndsnn_tensor::Csr;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{DatasetKind, MethodSpec};
@@ -83,18 +83,7 @@ pub fn measure_sparse_model(profile: Profile, sparsity: f64) -> Result<CsrMeasur
             return;
         }
         total_weights += param.len();
-        let csr = match param.value.rank() {
-            4 => CsrMatrix::from_conv_weight(&param.value),
-            _ => {
-                let rows = param.value.dims()[0];
-                let cols: usize = param.value.dims()[1..].iter().product();
-                param
-                    .value
-                    .reshape([rows, cols])
-                    .map_err(ndsnn_sparse::SparseError::from)
-                    .and_then(|t| CsrMatrix::from_dense(&t))
-            }
-        };
+        let csr = Csr::from_weight(&param.value);
         if let Ok(csr) = csr {
             nnz += csr.nnz();
             csr_bits += csr.storage_bits(p.weight_bits, p.index_bits);

@@ -29,9 +29,8 @@ use std::path::Path;
 
 use ndsnn::checkpoint::{decode_blobs, encode_blobs, write_atomic};
 use ndsnn::recovery::{BlobReader, BlobWriter};
-use ndsnn_sparse::csr::CsrMatrix;
 use ndsnn_tensor::ops::conv::Conv2dGeometry;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::error::{InferError, Result};
 use crate::quant::{self, IndexEncoding, QuantWeight};
@@ -53,7 +52,7 @@ pub enum WeightStore {
     /// `(F, C, KH, KW)` conv).
     Dense(Tensor),
     /// CSR over the 2-D view (`Out × In` linear, `F × (C·KH·KW)` conv).
-    Csr(CsrMatrix),
+    Csr(Csr<f32>),
     /// Per-channel symmetric int8 CSR over the same 2-D view, with a
     /// density-selected compressed index encoding on disk.
     QuantCsr(QuantWeight),
@@ -68,7 +67,7 @@ impl WeightStore {
                 nz as f64 / t.len().max(1) as f64
             }
             WeightStore::Csr(m) => m.density(),
-            WeightStore::QuantCsr(q) => q.density(),
+            WeightStore::QuantCsr(q) => q.csr().density(),
         }
     }
 
@@ -256,9 +255,9 @@ fn encode_store(w: &mut BlobWriter, store: &WeightStore) {
             let (rows, cols) = m.dims();
             w.put_usize(rows);
             w.put_usize(cols);
-            encode_f32s(w, m.values());
-            w.put_usize(m.col_indices().len());
-            for &c in m.col_indices() {
+            encode_f32s(w, m.val());
+            w.put_usize(m.idx().len());
+            for &c in m.idx() {
                 w.put_u32(c);
             }
             w.put_usize(m.row_ptr().len());
@@ -268,7 +267,7 @@ fn encode_store(w: &mut BlobWriter, store: &WeightStore) {
         }
         WeightStore::QuantCsr(q) => {
             w.put_u8(2);
-            let (rows, cols) = q.dims();
+            let (rows, cols) = q.csr().dims();
             w.put_usize(rows);
             w.put_usize(cols);
             w.put_u8(q.encoding().tag());
@@ -276,7 +275,7 @@ fn encode_store(w: &mut BlobWriter, store: &WeightStore) {
             // int8 values travel as their two's-complement byte patterns;
             // row_ptr is never serialized — it re-derives from the index
             // stream, so the two can't disagree.
-            let bytes: Vec<u8> = q.values().iter().map(|&v| v as u8).collect();
+            let bytes: Vec<u8> = q.csr().val().iter().map(|&v| v as u8).collect();
             w.put_bytes(&bytes);
             w.put_bytes(&q.encode_indices());
         }
@@ -313,7 +312,7 @@ fn decode_store(r: &mut BlobReader<'_>, quant_ok: bool) -> Result<WeightStore> {
             // from_parts re-validates every CSR invariant, so a corrupted
             // artifact cannot smuggle an out-of-bounds index to the kernels.
             Ok(WeightStore::Csr(
-                CsrMatrix::from_parts(rows, cols, values, col_indices, row_ptr).map_err(bad)?,
+                Csr::from_parts(rows, cols, row_ptr, col_indices, values).map_err(bad)?,
             ))
         }
         2 if quant_ok => {
@@ -330,18 +329,14 @@ fn decode_store(r: &mut BlobReader<'_>, quant_ok: bool) -> Result<WeightStore> {
                 .map(|b| b as i8)
                 .collect();
             let stream = r.get_bytes().map_err(bad)?;
-            let (col_indices, row_ptr) =
+            let (row_ptr, col_indices) =
                 quant::decode_index_stream(encoding, rows, cols, values.len(), &stream)?;
-            // from_parts re-validates every invariant the integer kernels
-            // rely on (range, ascent, scale/occupancy agreement, row cap).
-            Ok(WeightStore::QuantCsr(QuantWeight::from_parts(
-                rows,
-                cols,
-                scales,
-                values,
-                col_indices,
-                row_ptr,
-                encoding,
+            // Every invariant the integer kernels rely on is re-validated:
+            // range and ascent by the CSR, scale/occupancy agreement and the
+            // row cap by the quantized weight.
+            let csr = Csr::from_parts(rows, cols, row_ptr, col_indices, values).map_err(bad)?;
+            Ok(WeightStore::QuantCsr(QuantWeight::new(
+                csr, scales, encoding,
             )?))
         }
         2 => Err(bad("quantized weight store in a version-1 artifact")),
@@ -725,7 +720,7 @@ mod tests {
                         stride: 1,
                         padding: 0,
                     },
-                    weight: WeightStore::Csr(CsrMatrix::from_conv_weight(&conv_w).unwrap()),
+                    weight: WeightStore::Csr(Csr::from_weight(&conv_w).unwrap()),
                     bias: None,
                 },
                 Op::Affine {

@@ -28,8 +28,7 @@ use ndsnn::trainer::build_network;
 use ndsnn_snn::describe::LayerDesc;
 use ndsnn_snn::encoder::Encoding;
 use ndsnn_snn::layers::{Layer, ResetMode};
-use ndsnn_sparse::csr::CsrMatrix;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::artifact::{Artifact, Manifest, Op, WeightStore};
 use crate::error::{InferError, Result};
@@ -76,7 +75,7 @@ struct Lowering {
 }
 
 impl Lowering {
-    fn pack_weight(&mut self, name: &str, weight: &Tensor, conv: bool) -> Result<WeightStore> {
+    fn pack_weight(&mut self, name: &str, weight: &Tensor) -> Result<WeightStore> {
         let nz = weight.as_slice().iter().filter(|&&v| v != 0.0).count();
         let density = nz as f64 / weight.len().max(1) as f64;
         self.densities.push((name.to_string(), density));
@@ -89,11 +88,7 @@ impl Lowering {
             .collect();
         self.digest = self.digest.rotate_left(13) ^ u64::from(crc32(&bitmap));
         Ok(if density < self.threshold {
-            WeightStore::Csr(if conv {
-                CsrMatrix::from_conv_weight(weight)?
-            } else {
-                CsrMatrix::from_dense(weight)?
-            })
+            WeightStore::Csr(Csr::from_weight(weight)?)
         } else {
             WeightStore::Dense(weight.clone())
         })
@@ -111,7 +106,7 @@ impl Lowering {
                     return Err(unsupported(format!("{name}: linear weight is not rank 2")));
                 }
                 let (of, inf) = (weight.dims()[0], weight.dims()[1]);
-                let store = self.pack_weight(name, weight, false)?;
+                let store = self.pack_weight(name, weight)?;
                 out.push(Op::Linear {
                     name: name.clone(),
                     out_features: of,
@@ -129,7 +124,7 @@ impl Lowering {
                 if self.first_conv_in.is_none() {
                     self.first_conv_in = Some(geometry.in_channels);
                 }
-                let store = self.pack_weight(name, weight, true)?;
+                let store = self.pack_weight(name, weight)?;
                 out.push(Op::Conv2d {
                     name: name.clone(),
                     geometry: *geometry,

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ndsnn_sparse::csr::{csr_mm, csr_mm_packed, csr_xwt, CsrMatrix};
+use ndsnn_sparse::csr::{csr_mm, csr_mm_packed, csr_xwt};
 use ndsnn_tensor::ops::conv::{
     conv2d_forward_pooled, conv2d_forward_with_epilogue, im2col, im2col_packed, Conv2dGeometry,
 };
@@ -29,7 +29,7 @@ use ndsnn_tensor::ops::quant::{csr_mm_i8, csr_mm_packed_i8, csr_xwt_i8, requanti
 use ndsnn_tensor::ops::tile::{AffineLifRow, AffineRow, NoEpilogue, TileEpilogue};
 use ndsnn_tensor::parallel::parallel_for_chunks;
 use ndsnn_tensor::scratch::ScratchPool;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::artifact::{Artifact, Op, WeightStore};
 use crate::error::{InferError, Result};
@@ -536,24 +536,14 @@ impl Executor {
                 // layers with guaranteed-binary inputs, so every fired
                 // feature contributes its raw i8 weight to an i32
                 // accumulator; one f32 multiply per logit requantizes.
-                if q.dims() != (out_features, in_features) {
+                if q.csr().dims() != (out_features, in_features) {
                     return Err(exec_err(format!(
                         "{name}: quant weight {:?} does not match ({out_features}, {in_features})",
-                        q.dims()
+                        q.csr().dims()
                     )));
                 }
                 let mut y = Tensor::zeros([b, out_features]);
-                csr_xwt_i8(
-                    q.row_ptr(),
-                    q.col_indices(),
-                    q.values(),
-                    q.scales(),
-                    x.as_slice(),
-                    y.as_mut_slice(),
-                    b,
-                    out_features,
-                    in_features,
-                );
+                csr_xwt_i8(q.csr(), q.scales(), x.as_slice(), y.as_mut_slice(), b);
                 y
             }
         };
@@ -581,7 +571,7 @@ impl Executor {
     fn run_conv_csr<E: TileEpilogue>(
         &self,
         name: &str,
-        w: &CsrMatrix,
+        w: &Csr<f32>,
         bias: Option<&Tensor>,
         g: &Conv2dGeometry,
         input: &Tensor,
@@ -702,10 +692,10 @@ impl Executor {
         let spatial = oh * ow;
         let filters = g.out_channels;
         let cr = g.col_rows();
-        if q.dims() != (filters, cr) {
+        if q.csr().dims() != (filters, cr) {
             return Err(exec_err(format!(
                 "{name}: quant weight {:?} does not match geometry ({filters}, {cr})",
-                q.dims()
+                q.csr().dims()
             )));
         }
         let mut out = Tensor::zeros([b, filters, oh, ow]);
@@ -730,29 +720,14 @@ impl Executor {
                     im2col_packed(
                         sample, g, h, iw, oh, ow, &mut ptr, &mut pos, &mut vals, pool,
                     );
-                    csr_mm_packed_i8(
-                        q.row_ptr(),
-                        q.col_indices(),
-                        q.values(),
-                        &ptr,
-                        &pos,
-                        &mut acc,
-                        spatial,
-                    );
+                    csr_mm_packed_i8(q.csr(), &ptr, &pos, &mut acc, spatial);
                     pool.give_u32(ptr);
                     pool.give_u32(pos);
                     pool.give(vals);
                 } else {
                     let mut col = pool.take(cr * spatial);
                     im2col(sample, g, h, iw, oh, ow, &mut col);
-                    csr_mm_i8(
-                        q.row_ptr(),
-                        q.col_indices(),
-                        q.values(),
-                        &col,
-                        &mut acc,
-                        spatial,
-                    );
+                    csr_mm_i8(q.csr(), &col, &mut acc, spatial);
                     pool.give(col);
                 }
                 requantize_rows(&acc, q.scales(), out_chunk, spatial);
@@ -904,7 +879,7 @@ mod tests {
         .unwrap();
         let mut dense = Executor::new(Arc::new(make(WeightStore::Dense(w.clone()))));
         let mut csr = Executor::new(Arc::new(make(WeightStore::Csr(
-            CsrMatrix::from_dense(&w).unwrap(),
+            Csr::from_weight(&w).unwrap(),
         ))));
         let a = dense.forward(&x).unwrap();
         let b = csr.forward(&x).unwrap();
@@ -1104,7 +1079,7 @@ mod tests {
     #[test]
     fn fused_csr_conv_block_bit_identical_to_unfused() {
         let wd = Tensor::from_vec([3, 18], fill(54, 7, true)).unwrap();
-        let w = CsrMatrix::from_dense(&wd).unwrap();
+        let w = Csr::from_weight(&wd).unwrap();
         let bias = Tensor::from_slice(&[0.3, -0.1, 0.05]);
         // Sample 0 sparse (packed kernel), sample 1 all-zero (kernel skipped,
         // epilogue still applies), sample 2 dense (streaming kernel).
@@ -1166,7 +1141,7 @@ mod tests {
     /// Quantizes the sparse 3x18 conv weight used by the CSR block tests.
     fn quant_conv_weight() -> crate::quant::QuantWeight {
         let wd = Tensor::from_vec([3, 18], fill(54, 7, true)).unwrap();
-        let csr = CsrMatrix::from_dense(&wd).unwrap();
+        let csr = Csr::from_weight(&wd).unwrap();
         let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr), None).unwrap();
         qw
     }
@@ -1202,7 +1177,7 @@ mod tests {
         // output element requantized with a single f32 multiply — the exact
         // arithmetic the kernel contracts to produce.
         let g = Conv2dGeometry::square(2, 3, 3, 1, 1);
-        let (rows, cols) = qw.dims();
+        let (rows, cols) = qw.csr().dims();
         let mut want = vec![0.0f32; 3 * rows * 25];
         for s in 0..3 {
             let mut patches = vec![0.0f32; cols * 25];
@@ -1211,10 +1186,10 @@ mod tests {
             for r in 0..rows {
                 for p in 0..25 {
                     let mut acc = 0i32;
-                    for e in qw.row_ptr()[r]..qw.row_ptr()[r + 1] {
-                        let ci = qw.col_indices()[e as usize] as usize;
+                    for e in qw.csr().row_ptr()[r]..qw.csr().row_ptr()[r + 1] {
+                        let ci = qw.csr().idx()[e as usize] as usize;
                         if patches[ci * 25 + p] != 0.0 {
-                            acc += i32::from(qw.values()[e as usize]);
+                            acc += i32::from(qw.csr().val()[e as usize]);
                         }
                     }
                     want[s * rows * 25 + r * 25 + p] = qw.scales()[r] * acc as f32;
@@ -1271,7 +1246,7 @@ mod tests {
     #[test]
     fn quantized_linear_matches_integer_hand_reference() {
         let wd = Tensor::from_vec([3, 4], fill(12, 5, true)).unwrap();
-        let csr = CsrMatrix::from_dense(&wd).unwrap();
+        let csr = Csr::from_weight(&wd).unwrap();
         let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr), None).unwrap();
         let art = Artifact {
             manifest: manifest(1, 1, 2),
@@ -1297,10 +1272,10 @@ mod tests {
         for b in 0..2 {
             for r in 0..3 {
                 let mut acc = 0i32;
-                for e in qw.row_ptr()[r]..qw.row_ptr()[r + 1] {
-                    let ci = qw.col_indices()[e as usize] as usize;
+                for e in qw.csr().row_ptr()[r]..qw.csr().row_ptr()[r + 1] {
+                    let ci = qw.csr().idx()[e as usize] as usize;
                     if xs[b * 4 + ci] != 0.0 {
-                        acc += i32::from(qw.values()[e as usize]);
+                        acc += i32::from(qw.csr().val()[e as usize]);
                     }
                 }
                 want[b * 3 + r] = qw.scales()[r] * acc as f32 + [0.1f32, -0.2, 0.3][r];

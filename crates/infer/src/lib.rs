@@ -7,7 +7,8 @@
 //! - [`compile`] — rebuilds the trained network from its
 //!   [`ndsnn::config::RunConfig`] + parameter snapshot, folds BatchNorm
 //!   into frozen per-channel affine epilogues, packs masked weights into
-//!   CSR ([`ndsnn_sparse::csr`]) below a density threshold, and emits a
+//!   CSR ([`ndsnn_tensor::Csr`], run by the [`ndsnn_sparse::csr`] kernels)
+//!   below a density threshold, and emits a
 //!   checksummed **NDINF1** [`artifact::Artifact`];
 //! - [`exec`] — a forward-only [`exec::Executor`] that replays the frozen
 //!   graph **bit-identically** to the training graph's eval forward (same

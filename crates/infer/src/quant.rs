@@ -40,8 +40,8 @@
 //! non-canonical bitmap padding and count mismatches are errors, never
 //! panics or out-of-range indices).
 
-use ndsnn_sparse::csr::CsrMatrix;
 use ndsnn_tensor::ops::quant::MAX_QUANT_ROW_NNZ;
+use ndsnn_tensor::Csr;
 
 use crate::artifact::{store_encoded_bytes, Artifact, Op, WeightStore};
 use crate::error::{InferError, Result};
@@ -177,130 +177,66 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u32> {
 
 /// A per-channel symmetric int8 weight in CSR form.
 ///
-/// In memory the index set is always expanded CSR (`col_indices`/`row_ptr`)
-/// so the gather-add kernels run the same regardless of how the artifact
-/// serialized it; [`QuantWeight::encoding`] only records the on-disk form.
+/// In memory the index set is always expanded CSR so the gather-add kernels
+/// run the same regardless of how the artifact serialized it;
+/// [`QuantWeight::encoding`] only records the on-disk form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantWeight {
-    rows: usize,
-    cols: usize,
+    csr: Csr<i8>,
     scales: Vec<f32>,
-    values: Vec<i8>,
-    col_indices: Vec<u32>,
-    row_ptr: Vec<u32>,
     encoding: IndexEncoding,
 }
 
 impl QuantWeight {
-    /// Builds a validated quantized weight from raw parts. Every invariant
-    /// the kernels rely on is checked (hostile-input safe): monotone
-    /// `row_ptr`, strictly ascending in-range columns, value/index length
-    /// agreement, finite non-negative scales that are positive exactly on
-    /// non-empty rows, values in `[-127, 127]`, and the per-row entry cap
-    /// that excludes `i32` accumulator overflow.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        scales: Vec<f32>,
-        values: Vec<i8>,
-        col_indices: Vec<u32>,
-        row_ptr: Vec<u32>,
-        encoding: IndexEncoding,
-    ) -> Result<QuantWeight> {
-        if scales.len() != rows {
+    /// Wraps an int8 CSR (whose structure [`Csr::from_parts`] already
+    /// validated) after checking the quant-specific invariants the kernels
+    /// rely on (hostile-input safe): one finite non-negative scale per row,
+    /// positive exactly on non-empty rows, values in `[-127, 127]`, and the
+    /// per-row entry cap that excludes `i32` accumulator overflow.
+    pub fn new(csr: Csr<i8>, scales: Vec<f32>, encoding: IndexEncoding) -> Result<QuantWeight> {
+        if scales.len() != csr.rows() {
             return Err(bad(format!(
-                "quant scales length {} != rows {rows}",
-                scales.len()
+                "quant scales length {} != rows {}",
+                scales.len(),
+                csr.rows()
             )));
         }
-        if values.len() != col_indices.len() {
-            return Err(bad("quant values/col_indices length mismatch"));
-        }
-        if row_ptr.len() != rows + 1 || row_ptr.first() != Some(&0) {
-            return Err(bad("quant row_ptr malformed"));
-        }
-        if *row_ptr.last().expect("non-empty row_ptr") as usize != values.len() {
-            return Err(bad("quant row_ptr does not cover all values"));
-        }
-        for r in 0..rows {
-            let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-            if hi < lo || hi > values.len() {
-                return Err(bad("quant row_ptr not monotone"));
-            }
-            if hi - lo > MAX_QUANT_ROW_NNZ {
+        for (r, &s) in scales.iter().enumerate() {
+            let (cols, values) = csr.row_entries(r);
+            if cols.len() > MAX_QUANT_ROW_NNZ {
                 return Err(bad(format!(
                     "quant row {r} has {} entries (cap {MAX_QUANT_ROW_NNZ})",
-                    hi - lo
+                    cols.len()
                 )));
             }
-            let s = scales[r];
             if !s.is_finite() || s < 0.0 {
                 return Err(bad(format!("quant scale {s} out of range at row {r}")));
             }
-            if (s == 0.0) != (hi == lo) {
+            if (s == 0.0) != cols.is_empty() {
                 return Err(bad(format!(
                     "quant scale/occupancy mismatch at row {r} (scale {s}, {} entries)",
-                    hi - lo
+                    cols.len()
                 )));
             }
-            let mut prev: Option<u32> = None;
-            for &c in &col_indices[lo..hi] {
-                if c as usize >= cols {
-                    return Err(bad(format!("quant column {c} out of range at row {r}")));
-                }
-                if prev.is_some_and(|p| c <= p) {
-                    return Err(bad(format!("quant columns not ascending at row {r}")));
-                }
-                prev = Some(c);
-            }
-            if values[lo..hi].contains(&i8::MIN) {
+            if values.contains(&i8::MIN) {
                 return Err(bad(format!("quant value -128 at row {r} breaks symmetry")));
             }
         }
         Ok(QuantWeight {
-            rows,
-            cols,
+            csr,
             scales,
-            values,
-            col_indices,
-            row_ptr,
             encoding,
         })
     }
 
-    /// `(rows, cols)` of the 2-D kernel view.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+    /// The int8 weight over the 2-D kernel view.
+    pub fn csr(&self) -> &Csr<i8> {
+        &self.csr
     }
 
     /// Per-row requantization scales.
     pub fn scales(&self) -> &[f32] {
         &self.scales
-    }
-
-    /// Stored int8 weight values.
-    pub fn values(&self) -> &[i8] {
-        &self.values
-    }
-
-    /// Column index of each stored value.
-    pub fn col_indices(&self) -> &[u32] {
-        &self.col_indices
-    }
-
-    /// Row extents: row `r` owns `values[row_ptr[r]..row_ptr[r+1]]`.
-    pub fn row_ptr(&self) -> &[u32] {
-        &self.row_ptr
-    }
-
-    /// Stored entry count.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Fraction of stored positions.
-    pub fn density(&self) -> f64 {
-        self.nnz() as f64 / (self.rows * self.cols).max(1) as f64
     }
 
     /// On-disk index encoding.
@@ -311,36 +247,31 @@ impl QuantWeight {
     /// Reconstructed f32 value at `(r, c)` (`scale · q`, zero off-index) —
     /// test/diagnostic helper, not a kernel.
     pub fn dequantize_at(&self, r: usize, c: usize) -> f32 {
-        let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-        match self.col_indices[lo..hi].binary_search(&(c as u32)) {
-            Ok(i) => self.scales[r] * f32::from(self.values[lo + i]),
+        let (cols, values) = self.csr.row_entries(r);
+        match cols.binary_search(&(c as u32)) {
+            Ok(i) => self.scales[r] * f32::from(values[i]),
             Err(_) => 0.0,
         }
     }
 
     /// Serializes the column-index set in the weight's chosen encoding.
     pub fn encode_indices(&self) -> Vec<u8> {
-        encode_index_stream(
-            self.encoding,
-            self.rows,
-            self.cols,
-            &self.col_indices,
-            &self.row_ptr,
-        )
+        encode_index_stream(self.encoding, &self.csr)
     }
 
     /// Exact serialized byte length of the index set under `encoding`
     /// (without building the stream) — the measurement behind auto-selection.
     pub fn encoded_index_len(&self, encoding: IndexEncoding) -> usize {
+        let m = &self.csr;
         match encoding {
-            IndexEncoding::Bitmap => (self.rows * self.cols).div_ceil(8),
+            IndexEncoding::Bitmap => (m.rows() * m.cols()).div_ceil(8),
             IndexEncoding::DeltaVarint => {
                 let mut len = 0usize;
-                for r in 0..self.rows {
-                    let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                    len += varint_len((hi - lo) as u32);
+                for r in 0..m.rows() {
+                    let row = m.row(r);
+                    len += varint_len(row.len() as u32);
                     let mut prev: Option<u32> = None;
-                    for &c in &self.col_indices[lo..hi] {
+                    for &c in row {
                         len += varint_len(prev.map_or(c, |p| c - p));
                         prev = Some(c);
                     }
@@ -348,9 +279,9 @@ impl QuantWeight {
                 len
             }
             IndexEncoding::Absolute => {
-                let mut len = 4 * self.nnz();
-                for r in 0..self.rows {
-                    len += varint_len(self.row_ptr[r + 1] - self.row_ptr[r]);
+                let mut len = 4 * m.nnz();
+                for r in 0..m.rows() {
+                    len += varint_len(m.row(r).len() as u32);
                 }
                 len
             }
@@ -358,18 +289,13 @@ impl QuantWeight {
     }
 }
 
-fn encode_index_stream(
-    encoding: IndexEncoding,
-    rows: usize,
-    cols: usize,
-    col_indices: &[u32],
-    row_ptr: &[u32],
-) -> Vec<u8> {
+fn encode_index_stream(encoding: IndexEncoding, m: &Csr<i8>) -> Vec<u8> {
+    let (rows, cols) = m.dims();
     match encoding {
         IndexEncoding::Bitmap => {
             let mut bits = vec![0u8; (rows * cols).div_ceil(8)];
             for r in 0..rows {
-                for &c in &col_indices[row_ptr[r] as usize..row_ptr[r + 1] as usize] {
+                for &c in m.row(r) {
                     let bit = r * cols + c as usize;
                     bits[bit / 8] |= 1 << (bit % 8);
                 }
@@ -379,10 +305,10 @@ fn encode_index_stream(
         IndexEncoding::DeltaVarint => {
             let mut out = Vec::new();
             for r in 0..rows {
-                let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-                put_varint(&mut out, (hi - lo) as u32);
+                let row = m.row(r);
+                put_varint(&mut out, row.len() as u32);
                 let mut prev: Option<u32> = None;
-                for &c in &col_indices[lo..hi] {
+                for &c in row {
                     put_varint(&mut out, prev.map_or(c, |p| c - p));
                     prev = Some(c);
                 }
@@ -392,9 +318,9 @@ fn encode_index_stream(
         IndexEncoding::Absolute => {
             let mut out = Vec::new();
             for r in 0..rows {
-                let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-                put_varint(&mut out, (hi - lo) as u32);
-                for &c in &col_indices[lo..hi] {
+                let row = m.row(r);
+                put_varint(&mut out, row.len() as u32);
+                for &c in row {
                     out.extend_from_slice(&c.to_le_bytes());
                 }
             }
@@ -403,8 +329,9 @@ fn encode_index_stream(
     }
 }
 
-/// Decodes an index stream back to CSR parts, checking that it describes
-/// exactly `nnz` entries over a `rows × cols` grid and consumes every byte.
+/// Decodes an index stream back to CSR parts `(row_ptr, idx)`, checking
+/// that it describes exactly `nnz` entries over a `rows × cols` grid and
+/// consumes every byte.
 /// All failure modes are typed errors: truncation, trailing bytes, columns
 /// out of range or not strictly ascending (delta 0 after the first entry),
 /// accumulated-delta overflow past `cols`, overlong varints, non-zero
@@ -509,7 +436,7 @@ pub fn decode_index_stream(
             col_indices.len()
         )));
     }
-    Ok((col_indices, row_ptr))
+    Ok((row_ptr, col_indices))
 }
 
 // ---------------------------------------------------------------------------
@@ -557,15 +484,8 @@ pub fn quantize_store(
     } else {
         (err_sq / norm_sq).sqrt()
     };
-    let mut qw = QuantWeight::from_parts(
-        rows,
-        cols,
-        scales,
-        values,
-        col_indices,
-        row_ptr,
-        IndexEncoding::DeltaVarint,
-    )?;
+    let csr = Csr::from_parts(rows, cols, row_ptr, col_indices, values).map_err(bad)?;
+    let mut qw = QuantWeight::new(csr, scales, IndexEncoding::DeltaVarint)?;
     qw.encoding = forced.unwrap_or_else(|| {
         // Smallest measured index section wins; ties break toward the
         // earlier entry so the choice is deterministic.
@@ -606,14 +526,13 @@ fn store_rows(store: &WeightStore) -> Result<(usize, usize, Vec<Vec<(u32, f32)>>
             Ok((rows, cols, entries))
         }
         WeightStore::Csr(m) => {
-            let (rows, cols) = m.dims();
-            let entries = (0..rows)
+            let entries = (0..m.rows())
                 .map(|r| {
                     let (cis, vs) = m.row_entries(r);
                     cis.iter().copied().zip(vs.iter().copied()).collect()
                 })
                 .collect();
-            Ok((rows, cols, entries))
+            Ok((m.rows(), m.cols(), entries))
         }
         WeightStore::QuantCsr(_) => Err(InferError::Unsupported(
             "store is already quantized".to_string(),
@@ -795,30 +714,23 @@ fn quantize_op(
     })
 }
 
-/// Expands a quantized weight back to an f32 [`CsrMatrix`] (`scale · q` per
-/// stored entry) — the reference the drift harness compares against, and a
+/// Expands a quantized weight back to an f32 [`Csr`] (`scale · q` per stored
+/// entry) — the reference the drift harness compares against, and a
 /// debugging aid; serving never calls this.
-pub fn dequantize_to_csr(qw: &QuantWeight) -> Result<CsrMatrix> {
-    let (rows, cols) = qw.dims();
-    let values = qw
-        .row_ptr()
-        .windows(2)
-        .enumerate()
-        .flat_map(|(r, w)| {
-            qw.values()[w[0] as usize..w[1] as usize]
-                .iter()
-                .map(move |&q| (r, q))
-        })
+pub fn dequantize_to_csr(qw: &QuantWeight) -> Result<Csr<f32>> {
+    let m = qw.csr();
+    let values = (0..m.rows())
+        .flat_map(|r| m.row_entries(r).1.iter().map(move |&q| (r, q)))
         .map(|(r, q)| qw.scales()[r] * f32::from(q))
         .collect();
-    CsrMatrix::from_parts(
-        rows,
-        cols,
+    Csr::from_parts(
+        m.rows(),
+        m.cols(),
+        m.row_ptr().to_vec(),
+        m.idx().to_vec(),
         values,
-        qw.col_indices().to_vec(),
-        qw.row_ptr().to_vec(),
     )
-    .map_err(|e| InferError::InvalidArtifact(e.to_string()))
+    .map_err(bad)
 }
 
 #[cfg(test)]
@@ -882,9 +794,9 @@ mod tests {
                 forced.encoding = enc;
                 let bytes = forced.encode_indices();
                 assert_eq!(bytes.len(), qw.encoded_index_len(enc), "{enc:?} len");
-                let (cis, rp) = decode_index_stream(enc, 7, 33, qw.nnz(), &bytes).unwrap();
-                assert_eq!(cis, qw.col_indices, "{enc:?} cols at keep={keep}");
-                assert_eq!(rp, qw.row_ptr, "{enc:?} row_ptr at keep={keep}");
+                let (rp, cis) = decode_index_stream(enc, 7, 33, qw.csr().nnz(), &bytes).unwrap();
+                assert_eq!(cis, qw.csr().idx(), "{enc:?} cols at keep={keep}");
+                assert_eq!(rp, qw.csr().row_ptr(), "{enc:?} row_ptr at keep={keep}");
             }
         }
     }
@@ -917,7 +829,7 @@ mod tests {
         assert!(rel < 0.01, "rel error {rel}");
         // Reconstruction agrees with dequantize_at within the rounding step.
         if let WeightStore::Dense(t) = &store {
-            let (rows, cols) = qw.dims();
+            let (rows, cols) = qw.csr().dims();
             for r in 0..rows {
                 let scale = qw.scales()[r];
                 for c in 0..cols {
@@ -938,7 +850,7 @@ mod tests {
         let (qw, rel) = quantize_store(&WeightStore::Dense(t), None).unwrap();
         assert_eq!(qw.scales()[0], 0.0);
         assert!(qw.scales()[1] > 0.0);
-        assert_eq!(qw.row_ptr(), &[0, 0, 2]);
+        assert_eq!(qw.csr().row_ptr(), &[0, 0, 2]);
         assert!(rel < 0.01);
     }
 
@@ -953,7 +865,8 @@ mod tests {
             )
         };
         let build = |scales, values, cis, rp| {
-            QuantWeight::from_parts(2, 4, scales, values, cis, rp, IndexEncoding::Absolute)
+            let csr = Csr::from_parts(2, 4, rp, cis, values).map_err(bad)?;
+            QuantWeight::new(csr, scales, IndexEncoding::Absolute)
         };
         let (s, v, c, r) = ok();
         assert!(build(s, v, c, r).is_ok());
@@ -986,7 +899,8 @@ mod tests {
     fn hostile_index_streams_are_rejected() {
         let store = random_store(5, 19, 35, 42);
         let (qw, _) = quantize_store(&store, None).unwrap();
-        let (rows, cols) = qw.dims();
+        let (rows, cols) = qw.csr().dims();
+        let nnz = qw.csr().nnz();
         for enc in [
             IndexEncoding::Bitmap,
             IndexEncoding::DeltaVarint,
@@ -998,16 +912,16 @@ mod tests {
             // Truncation at every offset either errors or (never) matches.
             for cut in 0..bytes.len() {
                 assert!(
-                    decode_index_stream(enc, rows, cols, qw.nnz(), &bytes[..cut]).is_err(),
+                    decode_index_stream(enc, rows, cols, nnz, &bytes[..cut]).is_err(),
                     "{enc:?} accepted truncation at {cut}"
                 );
             }
             // Trailing garbage.
             let mut long = bytes.clone();
             long.push(0x00);
-            assert!(decode_index_stream(enc, rows, cols, qw.nnz(), &long).is_err());
+            assert!(decode_index_stream(enc, rows, cols, nnz, &long).is_err());
             // Wrong nnz claim.
-            assert!(decode_index_stream(enc, rows, cols, qw.nnz() + 1, &bytes).is_err());
+            assert!(decode_index_stream(enc, rows, cols, nnz + 1, &bytes).is_err());
         }
         // Delta overflow: a gap that pushes the column past `cols`.
         let mut evil = Vec::new();
@@ -1035,9 +949,7 @@ mod tests {
         if used % 8 != 0 {
             let last = pad.len() - 1;
             pad[last] |= 1 << 7;
-            assert!(
-                decode_index_stream(IndexEncoding::Bitmap, rows, cols, qw.nnz(), &pad).is_err()
-            );
+            assert!(decode_index_stream(IndexEncoding::Bitmap, rows, cols, nnz, &pad).is_err());
         }
     }
 
@@ -1046,7 +958,7 @@ mod tests {
         let store = random_store(6, 21, 40, 99);
         let (qw, _) = quantize_store(&store, None).unwrap();
         let csr = dequantize_to_csr(&qw).unwrap();
-        let (rows, cols) = qw.dims();
+        let (rows, cols) = qw.csr().dims();
         for r in 0..rows {
             let (cis, vs) = csr.row_entries(r);
             for (&c, &v) in cis.iter().zip(vs) {

@@ -384,6 +384,22 @@ fn unknown_tags_are_rejected() {
 }
 
 #[test]
+fn f32_csr_row_count_overflow_is_rejected() {
+    // An f32 CSR store claiming `u64::MAX` rows with empty arrays: `rows + 1`
+    // overflows, so validation must fail cleanly instead of panicking.
+    let bytes = crafted_artifact("NDINF1", 1, |w| {
+        w.put_u8(1); // store kind: Csr
+        w.put_u64(u64::MAX); // rows
+        w.put_usize(4); // cols
+        w.put_usize(0); // values
+        w.put_usize(0); // column indices
+        w.put_usize(0); // row pointers
+    });
+    let err = Artifact::decode(&bytes).unwrap_err();
+    assert!(err.to_string().contains("invalid CSR"), "{err}");
+}
+
+#[test]
 fn quant_grid_overflow_is_rejected() {
     assert!(decode_crafted(|w| {
         w.put_u8(2);

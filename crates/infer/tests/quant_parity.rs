@@ -22,9 +22,8 @@ use ndsnn_infer::{
     WeightStore,
 };
 use ndsnn_snn::models::Architecture;
-use ndsnn_sparse::csr::CsrMatrix;
 use ndsnn_tensor::parallel::set_thread_override;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -169,7 +168,7 @@ fn golden_artifact() -> Artifact {
                 name: "fc".to_string(),
                 out_features: 2,
                 in_features: 4,
-                weight: WeightStore::Csr(CsrMatrix::from_dense(&csr_src).unwrap()),
+                weight: WeightStore::Csr(Csr::from_weight(&csr_src).unwrap()),
                 bias: Some(Tensor::from_slice(&[0.1, -0.1])),
             },
             Op::Linear {

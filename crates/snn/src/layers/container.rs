@@ -1,8 +1,6 @@
 //! Layer composition.
 
-use ndsnn_tensor::ops::grad::GradActiveBatch;
-use ndsnn_tensor::ops::spike::SpikeBatch;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::error::Result;
 use crate::layers::{ComputeSite, Layer, LayerPhaseNs, SpikeExecStats, SpikeStats};
@@ -96,32 +94,21 @@ impl Layer for Sequential {
     }
 
     fn forward(&mut self, input: &Tensor, step: usize) -> Result<Tensor> {
-        // Thread spike metadata between children even on the plain entry
-        // point: emitters hand fired-index batches straight to consumers, so
-        // the whole network benefits without the driver changing.
-        Ok(self.forward_spikes(input, None, step)?.0)
-    }
-
-    fn forward_spikes(
-        &mut self,
-        input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
-        // Thread active-set metadata too: emitters only collect index lists
-        // when the grad execution is enabled for them, so this costs nothing
-        // when the feature is off.
-        let (out, sb, _) = self.forward_active(input, spikes, None, step)?;
-        Ok((out, sb))
+        // Thread sparse metadata between children even on the plain entry
+        // point: emitters hand fired-index lists straight to consumers, so
+        // the whole network benefits without the training loop changing. Active
+        // sets ride along for free when the grad execution is off (emitters
+        // only collect them when it is enabled for them).
+        Ok(self.forward_active(input, None, None, step)?.0)
     }
 
     fn forward_active(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        spikes: Option<Csr>,
+        active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
         let mut x = input.clone();
         let mut sb = spikes;
         let mut ab = active;

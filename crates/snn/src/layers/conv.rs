@@ -1,10 +1,10 @@
 //! Spiking 2-D convolution layer.
 
 use ndsnn_tensor::ops::conv::{conv2d_backward_exec, conv2d_forward_exec, Conv2dGeometry};
-use ndsnn_tensor::ops::grad::{grad_density_threshold_from_env, GradActiveBatch, PackedWt};
-use ndsnn_tensor::ops::spike::{spike_density_threshold_from_env, SpikeBatch};
+use ndsnn_tensor::ops::grad::grad_density_threshold_from_env;
+use ndsnn_tensor::ops::spike::spike_density_threshold_from_env;
 use ndsnn_tensor::scratch::ScratchPool;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 use rand::Rng;
 use std::time::Instant;
 
@@ -30,13 +30,13 @@ pub struct Conv2d {
     /// Per-step gradient active sets received via [`Layer::forward_active`]:
     /// the input positions the upstream population can actually consume, to
     /// which the backward `dX` may be restricted.
-    active_cache: Vec<Option<GradActiveBatch>>,
+    active_cache: Vec<Option<Csr>>,
     /// Packed transpose of the weight for the active-set `dX` gather, built
     /// lazily at the first active backward step of a batch and reused for
     /// every remaining timestep — weights only change between batches, and
     /// [`Layer::reset_state`] (called at the start of every pass) drops the
     /// cache before they can.
-    packed_wt: Option<PackedWt>,
+    packed_wt: Option<Csr<f32>>,
     spike_threshold: f64,
     grad_threshold: f64,
     exec: SpikeExecStats,
@@ -103,13 +103,13 @@ impl Conv2d {
 
     /// Shared forward body: [`Layer::forward`] passes `spikes = None`. The
     /// conv gathers rebuild fired indices from the im2col buffer, so the
-    /// batch itself is only consulted for binarity certification, density and
-    /// stats.
+    /// spike list itself is only consulted for binarity certification,
+    /// density and stats.
     fn forward_impl(
         &mut self,
         input: &Tensor,
-        spikes: Option<&SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        spikes: Option<&Csr>,
+        active: Option<Csr>,
         step: usize,
     ) -> Result<Tensor> {
         let usable = spikes.is_some_and(|sb| {
@@ -169,25 +169,16 @@ impl Layer for Conv2d {
         self.forward_impl(input, None, None, step)
     }
 
-    fn forward_spikes(
-        &mut self,
-        input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
-        // Consumes the incoming batch; the conv output is not binary.
-        Ok((self.forward_impl(input, spikes.as_ref(), None, step)?, None))
-    }
-
     fn forward_active(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        spikes: Option<Csr>,
+        active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
-        // Consumes both: the spike batch feeds the forward/dW gathers, the
-        // active set is captured for the backward dX restriction.
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
+        // Consumes both: the spikes feed the forward/dW gathers, the active
+        // set is captured for the backward dX restriction. The conv output is
+        // not binary.
         Ok((
             self.forward_impl(input, spikes.as_ref(), active, step)?,
             None,
@@ -216,10 +207,10 @@ impl Layer for Conv2d {
         }
         let active = ab.filter(|ab| ab.density() < self.grad_threshold);
         if active.is_some() && self.packed_wt.is_none() {
-            self.packed_wt = Some(PackedWt::from_row_major(
-                self.weight.value.as_slice(),
+            self.packed_wt = Some(Csr::from_dense_transposed(
                 self.geometry.out_channels,
                 self.geometry.col_rows(),
+                self.weight.value.as_slice(),
             ));
         }
         let active = active.map(|ab| (ab, self.packed_wt.as_ref().expect("packed above")));

@@ -1,8 +1,6 @@
 //! Shape adapter between convolutional and fully-connected stages.
 
-use ndsnn_tensor::ops::grad::GradActiveBatch;
-use ndsnn_tensor::ops::spike::SpikeBatch;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::error::{Result, SnnError};
 use crate::layers::Layer;
@@ -48,31 +46,20 @@ impl Layer for Flatten {
         Ok(input.reshape([b, rest])?)
     }
 
-    fn forward_spikes(
-        &mut self,
-        input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
-        // A spike batch is already `[batch, flattened features]`, the exact
-        // view this layer produces — pass it through untouched.
-        Ok((self.forward(input, step)?, spikes))
-    }
-
     fn forward_active(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        spikes: Option<Csr>,
+        active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
-        // Flattening reinterprets shape without moving data, so the active
-        // set's flat indices are equally valid on both sides.
-        let (out, sb) = self.forward_spikes(input, spikes, step)?;
-        let ab = active.filter(|ab| {
-            out.rank() == 2 && ab.rows() == out.dims()[0] && ab.cols() == out.dims()[1]
-        });
-        Ok((out, sb, ab))
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
+        // Both lists are already `[batch, flattened features]`, the exact
+        // view this layer produces: flattening reinterprets shape without
+        // moving data, so spikes pass through untouched and the active set's
+        // flat indices are equally valid on both sides.
+        let out = self.forward(input, step)?;
+        let ab = active.filter(|ab| out.rank() == 2 && ab.dims() == (out.dims()[0], out.dims()[1]));
+        Ok((out, spikes, ab))
     }
 
     fn backward(&mut self, grad_out: &Tensor, step: usize) -> Result<Tensor> {

@@ -2,12 +2,9 @@
 
 use std::time::Instant;
 
-use ndsnn_tensor::ops::grad::{
-    grad_active_threshold_from_env, grad_density_threshold_from_env, GradActiveBatch,
-};
-use ndsnn_tensor::ops::spike::SpikeBatch;
+use ndsnn_tensor::ops::grad::{grad_active_threshold_from_env, grad_density_threshold_from_env};
 use ndsnn_tensor::parallel::{for_chunks_mut, parallel_for_chunks, worker_threads};
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, SnnError};
@@ -162,11 +159,11 @@ impl LifLayer {
     }
 
     /// The fused membrane-update/fire/cache pass shared by [`Layer::forward`]
-    /// and [`Layer::forward_spikes`]. When `fired` is provided, the flat
+    /// and [`Layer::forward_active`]. When `fired` is provided, the flat
     /// indices of spiking neurons are pushed in ascending order (the loop is a
-    /// single ascending scan), ready for [`SpikeBatch::from_flat_indices`];
+    /// single ascending scan), ready for [`Csr::from_flat_indices`];
     /// `active` likewise collects the gradient-active indices
-    /// (`|φ'(v − ϑ)| > τ`) for [`GradActiveBatch::from_flat_indices`] — both
+    /// (`|φ'(v − ϑ)| > τ`) for the same constructor — both
     /// ride the same pass, so emission adds one surrogate evaluation per
     /// neuron and nothing else.
     fn step_core(
@@ -303,39 +300,20 @@ impl Layer for LifLayer {
         self.step_core(input, step, None, None)
     }
 
-    fn forward_spikes(
-        &mut self,
-        input: &Tensor,
-        _spikes: Option<SpikeBatch>,
-        step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
-        // Emit this layer's output spike batch. The batch is laid out
-        // [batch, features]: the leading input dim is the sample axis and
-        // everything behind it flattens into the feature axis, which is
-        // exactly how downstream Linear/Conv consumers index the data.
-        let dims = input.dims();
-        if dims.len() < 2 || dims[0] == 0 || input.is_empty() {
-            return Ok((self.step_core(input, step, None, None)?, None));
-        }
-        let rows = dims[0];
-        let cols = input.len() / rows;
-        let mut fired = Vec::new();
-        let o = self.step_core(input, step, Some(&mut fired), None)?;
-        let batch = SpikeBatch::from_flat_indices(rows, cols, fired);
-        Ok((o, Some(batch)))
-    }
-
     fn forward_active(
         &mut self,
         input: &Tensor,
-        _spikes: Option<SpikeBatch>,
-        _active: Option<GradActiveBatch>,
+        _spikes: Option<Csr>,
+        _active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
-        // An incoming active set is dropped: this population restarts the
-        // restriction chain (upstream gradients pass through its own
-        // `φ'`-product, described by the *fresh* batch emitted here, which
-        // shares the emitted spike batch's `[batch, features]` view).
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
+        // Emit this layer's output spikes laid out [batch, features]: the
+        // leading input dim is the sample axis and everything behind it
+        // flattens into the feature axis, which is exactly how downstream
+        // Linear/Conv consumers index the data. An incoming active set is
+        // dropped: this population restarts the restriction chain (upstream
+        // gradients pass through its own `φ'`-product, described by the
+        // *fresh* list emitted here over the same view).
         let dims = input.dims();
         if dims.len() < 2 || dims[0] == 0 || input.is_empty() {
             return Ok((self.step_core(input, step, None, None)?, None, None));
@@ -351,8 +329,8 @@ impl Layer for LifLayer {
             Some(&mut fired),
             collect.then_some(&mut active_idx),
         )?;
-        let batch = SpikeBatch::from_flat_indices(rows, cols, fired);
-        let ab = collect.then(|| GradActiveBatch::from_flat_indices(rows, cols, active_idx));
+        let batch = Csr::from_flat_indices(rows, cols, fired);
+        let ab = collect.then(|| Csr::from_flat_indices(rows, cols, active_idx));
         Ok((o, Some(batch), ab))
     }
 

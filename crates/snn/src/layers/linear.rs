@@ -1,16 +1,12 @@
 //! Fully-connected layer.
 
-use ndsnn_tensor::ops::grad::{
-    gather_gy_wt, grad_density_threshold_from_env, GradActiveBatch, PackedWt,
-};
+use ndsnn_tensor::ops::grad::{gather_gy_wt, grad_density_threshold_from_env};
 use ndsnn_tensor::ops::matmul::{matmul, matmul_a_bt_epilogue, matmul_at_b};
 use ndsnn_tensor::ops::reduce::sum_axis0;
-use ndsnn_tensor::ops::spike::{
-    gather_at_b, gather_xwt, spike_density_threshold_from_env, SpikeBatch,
-};
+use ndsnn_tensor::ops::spike::{gather_at_b, gather_xwt, spike_density_threshold_from_env};
 use ndsnn_tensor::ops::spmm::{sp_gy_w, sp_xwt};
 use ndsnn_tensor::ops::tile::{BiasCol, NoEpilogue};
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 use rand::Rng;
 use std::time::Instant;
 
@@ -28,17 +24,17 @@ pub struct Linear {
     weight: Param,
     bias: Option<Param>,
     input_cache: Vec<Tensor>,
-    /// Per-step spike batches received via [`Layer::forward_spikes`]; lets the
+    /// Per-step spike lists received via [`Layer::forward_active`]; lets the
     /// backward pass gather `dW` over fired columns of the cached input.
-    spike_cache: Vec<Option<SpikeBatch>>,
+    spike_cache: Vec<Option<Csr>>,
     /// Per-step gradient active sets received via [`Layer::forward_active`]:
     /// the columns of `dX` the upstream population can actually consume.
-    active_cache: Vec<Option<GradActiveBatch>>,
+    active_cache: Vec<Option<Csr>>,
     /// Packed transpose of the weight for the active-set `dX` gather, built
     /// lazily at the first active backward step of a batch and reused for the
     /// remaining timesteps; [`Layer::reset_state`] drops it before the
     /// optimizer can touch the weights.
-    packed_wt: Option<PackedWt>,
+    packed_wt: Option<Csr<f32>>,
     spike_threshold: f64,
     grad_threshold: f64,
     exec: SpikeExecStats,
@@ -99,25 +95,14 @@ impl Linear {
         self.weight.value.dims()[1]
     }
 
-    /// True when `spikes` describes exactly this step's `input` tensor, so the
-    /// gather kernels may substitute for the dense matmuls.
-    fn spikes_usable(&self, input: &Tensor, spikes: Option<&SpikeBatch>) -> bool {
-        spikes.is_some_and(|sb| {
+    /// True when `list` (spikes or an active set) describes exactly this
+    /// step's `input` tensor, so the gather kernels may substitute for the
+    /// dense matmuls, or the backward `dX` may be restricted to its columns.
+    fn describes_input(&self, input: &Tensor, list: Option<&Csr>) -> bool {
+        list.is_some_and(|l| {
             input.rank() == 2
-                && sb.rows() == input.dims()[0]
-                && sb.cols() == input.dims()[1]
-                && sb.cols() == self.in_features()
-        })
-    }
-
-    /// True when `active` describes exactly this step's `input` tensor, so
-    /// the backward `dX` may be restricted to its columns.
-    fn active_usable(&self, input: &Tensor, active: Option<&GradActiveBatch>) -> bool {
-        active.is_some_and(|ab| {
-            input.rank() == 2
-                && ab.rows() == input.dims()[0]
-                && ab.cols() == input.dims()[1]
-                && ab.cols() == self.in_features()
+                && l.dims() == (input.dims()[0], input.dims()[1])
+                && l.cols() == self.in_features()
         })
     }
 
@@ -126,11 +111,11 @@ impl Linear {
     fn forward_impl(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        spikes: Option<Csr>,
+        active: Option<Csr>,
         step: usize,
     ) -> Result<Tensor> {
-        let usable = self.spikes_usable(input, spikes.as_ref());
+        let usable = self.describes_input(input, spikes.as_ref());
         if let Some(sb) = spikes.as_ref().filter(|_| usable) {
             self.exec.nnz += sb.nnz() as u64;
             self.exec.elems += (sb.rows() * sb.cols()) as u64;
@@ -216,7 +201,7 @@ impl Linear {
         }
         if self.training {
             debug_assert_eq!(step, self.input_cache.len(), "non-sequential forward");
-            let active_usable = self.active_usable(input, active.as_ref());
+            let active_usable = self.describes_input(input, active.as_ref());
             self.input_cache.push(input.clone());
             // Cached even when the forward used the weight plan: the dW
             // gather is independent of the forward dispatch.
@@ -236,25 +221,16 @@ impl Layer for Linear {
         self.forward_impl(input, None, None, step)
     }
 
-    fn forward_spikes(
-        &mut self,
-        input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
-        // Consumes the incoming batch; the (real-valued) output is not binary.
-        Ok((self.forward_impl(input, spikes, None, step)?, None))
-    }
-
     fn forward_active(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        spikes: Option<Csr>,
+        active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
-        // Consumes both: the spike batch feeds the forward/dW gathers, the
-        // active set is captured for the backward dX restriction.
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
+        // Consumes both: the spikes feed the forward/dW gathers, the active
+        // set is captured for the backward dX restriction. The (real-valued)
+        // output is not binary.
         Ok((self.forward_impl(input, spikes, active, step)?, None, None))
     }
 
@@ -314,10 +290,10 @@ impl Layer for Linear {
                 // once per batch and reused across the BPTT timesteps
                 // (weights only change between batches).
                 if self.packed_wt.is_none() {
-                    self.packed_wt = Some(PackedWt::from_row_major(
-                        self.weight.value.as_slice(),
+                    self.packed_wt = Some(Csr::from_dense_transposed(
                         out,
                         inf,
+                        self.weight.value.as_slice(),
                     ));
                 }
                 let pwt = self.packed_wt.as_ref().expect("packed above");

@@ -27,9 +27,7 @@ pub use plif::{PlifConfig, PlifLayer};
 pub use pool::{AvgPool2d, MaxPool2d};
 pub use residual::BasicBlock;
 
-use ndsnn_tensor::ops::grad::GradActiveBatch;
-use ndsnn_tensor::ops::spike::SpikeBatch;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::error::Result;
 use crate::param::Param;
@@ -171,49 +169,39 @@ pub trait Layer: Send {
     /// Computes this layer's output for timestep `step`.
     fn forward(&mut self, input: &Tensor, step: usize) -> Result<Tensor>;
 
-    /// [`Layer::forward`] with spike metadata threaded between layers.
+    /// [`Layer::forward`] with sparse metadata threaded between layers — the
+    /// one sparse forward entry point. Both kinds of metadata are index-only
+    /// [`Csr`] lists over this layer's input viewed as `[batch, features]`:
     ///
-    /// `spikes`, when present, certifies that `input` is binary (`0.0`/`1.0`)
-    /// and carries its fired indices; consumers (`Linear`, `Conv2d`) may then
-    /// dispatch through the multiply-free gather kernels — bit-identical to
-    /// dense, see [`ndsnn_tensor::ops::spike`]. The returned batch describes
-    /// this layer's *output*: spike sources (LIF/PLIF) emit one, binarity
-    /// preservers (`Flatten`, `MaxPool2d`) forward one, everything else
-    /// returns `None` (the safe default — dense execution downstream).
-    fn forward_spikes(
-        &mut self,
-        input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
-        let _ = spikes;
-        Ok((self.forward(input, step)?, None))
-    }
-
-    /// [`Layer::forward_spikes`] with backward active-set metadata threaded
-    /// alongside the spike batch.
+    /// - `spikes`, when present, certifies that `input` is binary
+    ///   (`0.0`/`1.0`) and carries its fired indices; consumers (`Linear`,
+    ///   `Conv2d`) may then dispatch through the multiply-free gather kernels
+    ///   — bit-identical to dense, see [`ndsnn_tensor::ops::spike`].
+    /// - `active`, when present, lists the per-timestep *gradient-active*
+    ///   neurons of the nearest upstream spiking population, mapped into this
+    ///   layer's input space. A consumer captures it: during backward, its
+    ///   input gradient is consumed upstream only through that population's
+    ///   `∂L/∂o · φ'(x)` product, so `dX` rows outside the active set
+    ///   multiply into exact zeros and may be skipped (see
+    ///   [`ndsnn_tensor::ops::grad`]).
     ///
-    /// `active`, when present, lists the per-timestep *gradient-active*
-    /// neurons of the nearest upstream spiking population, mapped into this
-    /// layer's input space (see [`GradActiveBatch`]). A consumer (`Linear`,
-    /// `Conv2d`) captures it: during backward, its input gradient is consumed
-    /// upstream only through that population's `∂L/∂o · φ'(x)` product, so
-    /// `dX` rows outside the active set multiply into exact zeros and may be
-    /// skipped. Spiking layers emit a fresh batch for their own input space;
-    /// index-preserving layers (`Flatten`) pass it through; pools remap it
-    /// through their gradient routing. The default *drops* the batch — the
-    /// safe fallback that forces the dense backward downstream (correct for
-    /// layers like BatchNorm whose backward densifies gradients).
+    /// The returned pair describes this layer's *output*. Spike sources
+    /// (LIF/PLIF) emit fresh spikes and a fresh active set for their own
+    /// input space; binarity preservers (`Flatten`, `MaxPool2d`) forward
+    /// spikes; index-preserving layers (`Flatten`) pass the active set
+    /// through and pools remap it through their gradient routing. The
+    /// default drops both — the safe fallback that forces dense execution
+    /// downstream (correct for layers like BatchNorm whose output is real
+    /// valued and whose backward densifies gradients).
     fn forward_active(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        spikes: Option<Csr>,
+        active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
-        let _ = active;
-        let (out, sb) = self.forward_spikes(input, spikes, step)?;
-        Ok((out, sb, None))
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
+        let _ = (spikes, active);
+        Ok((self.forward(input, step)?, None, None))
     }
 
     /// Propagates `grad_out` (∂L/∂output at `step`) to ∂L/∂input, adding any

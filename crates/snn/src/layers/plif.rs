@@ -13,12 +13,9 @@
 
 use std::time::Instant;
 
-use ndsnn_tensor::ops::grad::{
-    grad_active_threshold_from_env, grad_density_threshold_from_env, GradActiveBatch,
-};
-use ndsnn_tensor::ops::spike::SpikeBatch;
+use ndsnn_tensor::ops::grad::{grad_active_threshold_from_env, grad_density_threshold_from_env};
 use ndsnn_tensor::parallel::{for_chunks_mut, parallel_for_chunks, worker_threads};
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::error::{Result, SnnError};
 use crate::layers::lif::PAR_MIN_NEURONS;
@@ -148,7 +145,7 @@ impl PlifLayer {
     }
 
     /// Fused membrane-update/fire/cache pass shared by [`Layer::forward`] and
-    /// [`Layer::forward_spikes`]. One chunk-parallel scan replaces the
+    /// [`Layer::forward_active`]. One chunk-parallel scan replaces the
     /// scale/add/axpy/map tensor-op chain with the identical per-element
     /// operation order (`α·v + I`, then `+ (−ϑ)·o_prev`), so results are
     /// bit-identical to the original formulation at any thread count. When
@@ -278,33 +275,13 @@ impl Layer for PlifLayer {
         self.step_core(input, step, None, None)
     }
 
-    fn forward_spikes(
-        &mut self,
-        input: &Tensor,
-        _spikes: Option<SpikeBatch>,
-        step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
-        // The fused pass emits the fired indices directly (ascending scan),
-        // so no rescan of the binary output is needed.
-        let dims = input.dims();
-        if dims.len() < 2 || dims[0] == 0 || input.is_empty() {
-            return Ok((self.step_core(input, step, None, None)?, None));
-        }
-        let rows = dims[0];
-        let cols = input.len() / rows;
-        let mut fired = Vec::new();
-        let o = self.step_core(input, step, Some(&mut fired), None)?;
-        let batch = SpikeBatch::from_flat_indices(rows, cols, fired);
-        Ok((o, Some(batch)))
-    }
-
     fn forward_active(
         &mut self,
         input: &Tensor,
-        _spikes: Option<SpikeBatch>,
-        _active: Option<GradActiveBatch>,
+        _spikes: Option<Csr>,
+        _active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
         // As with LIF: drop any incoming active set (this population restarts
         // the restriction chain) and emit a fresh one for our input space.
         let dims = input.dims();
@@ -322,8 +299,8 @@ impl Layer for PlifLayer {
             Some(&mut fired),
             collect.then_some(&mut active_idx),
         )?;
-        let batch = SpikeBatch::from_flat_indices(rows, cols, fired);
-        let ab = collect.then(|| GradActiveBatch::from_flat_indices(rows, cols, active_idx));
+        let batch = Csr::from_flat_indices(rows, cols, fired);
+        let ab = collect.then(|| Csr::from_flat_indices(rows, cols, active_idx));
         Ok((o, Some(batch), ab))
     }
 

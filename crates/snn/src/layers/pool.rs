@@ -1,18 +1,16 @@
 //! Pooling layers.
 
-use ndsnn_tensor::ops::grad::GradActiveBatch;
 use ndsnn_tensor::ops::pool::{
     avg_pool2d_backward, avg_pool2d_forward, max_pool2d_backward, max_pool2d_forward,
     Pool2dGeometry,
 };
-use ndsnn_tensor::ops::spike::SpikeBatch;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::error::{Result, SnnError};
 use crate::layers::Layer;
 
 /// True when `ab` describes the `(B, C, H, W)` input this pool just consumed.
-fn active_matches_input(ab: &GradActiveBatch, in_dims: &[usize]) -> bool {
+fn active_matches_input(ab: &Csr, in_dims: &[usize]) -> bool {
     in_dims.len() == 4 && ab.rows() == in_dims[0] && ab.cols() == in_dims[1..].iter().product()
 }
 
@@ -20,12 +18,7 @@ fn active_matches_input(ab: &GradActiveBatch, in_dims: &[usize]) -> bool {
 /// each output-position gradient to its argmax input pixel, so output `p` is
 /// gradient-relevant iff that pixel is active. `argmax` holds plane-relative
 /// winner indices, one per output element, exactly as the forward cached them.
-fn map_active_max(
-    ab: &GradActiveBatch,
-    in_dims: &[usize],
-    out_dims: &[usize],
-    argmax: &[u32],
-) -> GradActiveBatch {
+fn map_active_max(ab: &Csr, in_dims: &[usize], out_dims: &[usize], argmax: &[u32]) -> Csr {
     let (b, h, w) = (in_dims[0], in_dims[2], in_dims[3]);
     let (oh, ow) = (out_dims[2], out_dims[3]);
     let (plane_in, plane_out) = (h * w, oh * ow);
@@ -51,18 +44,18 @@ fn map_active_max(
             mask[i as usize] = false;
         }
     }
-    GradActiveBatch::from_flat_indices(b, out_cols, flat)
+    Csr::from_flat_indices(b, out_cols, flat)
 }
 
 /// Maps an input-space active set through average pooling: the backward
 /// spreads each output-position gradient over its whole window, so output `p`
 /// is gradient-relevant iff *any* window pixel is active.
 fn map_active_avg(
-    ab: &GradActiveBatch,
+    ab: &Csr,
     in_dims: &[usize],
     out_dims: &[usize],
     geometry: &Pool2dGeometry,
-) -> GradActiveBatch {
+) -> Csr {
     let (b, h, w) = (in_dims[0], in_dims[2], in_dims[3]);
     let (oh, ow) = (out_dims[2], out_dims[3]);
     let (plane_in, plane_out) = (h * w, oh * ow);
@@ -91,7 +84,7 @@ fn map_active_avg(
             mask[i as usize] = false;
         }
     }
-    GradActiveBatch::from_flat_indices(b, out_cols, flat)
+    Csr::from_flat_indices(b, out_cols, flat)
 }
 
 /// Non-overlapping average pooling applied per timestep.
@@ -132,16 +125,17 @@ impl Layer for AvgPool2d {
     fn forward_active(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        _spikes: Option<Csr>,
+        active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
+        // Averages are not binary, so no spikes leave this layer.
         let in_dims = input.dims().to_vec();
-        let (out, sb) = self.forward_spikes(input, spikes, step)?;
+        let out = self.forward(input, step)?;
         let ab = active
             .filter(|ab| active_matches_input(ab, &in_dims) && out.rank() == 4)
             .map(|ab| map_active_avg(&ab, &in_dims, out.dims(), &self.geometry));
-        Ok((out, sb, ab))
+        Ok((out, None, ab))
     }
 
     fn backward(&mut self, grad_out: &Tensor, step: usize) -> Result<Tensor> {
@@ -202,34 +196,24 @@ impl Layer for MaxPool2d {
         Ok(out)
     }
 
-    fn forward_spikes(
-        &mut self,
-        input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
-        // Max pooling of a binary map is binary, so when the input carried a
-        // spike batch (certifying binarity) rebuild one over the pooled
-        // output — the downstream conv keeps its multiply-free dispatch.
-        let out = self.forward(input, step)?;
-        let batch = match spikes {
-            Some(_) if out.rank() >= 2 && out.dims()[0] > 0 && !out.is_empty() => {
-                SpikeBatch::from_binary(out.dims()[0], out.len() / out.dims()[0], out.as_slice())
-            }
-            _ => None,
-        };
-        Ok((out, batch))
-    }
-
     fn forward_active(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
-        active: Option<GradActiveBatch>,
+        spikes: Option<Csr>,
+        active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>, Option<GradActiveBatch>)> {
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
         let in_dims = input.dims().to_vec();
-        let (out, sb) = self.forward_spikes(input, spikes, step)?;
+        // Max pooling of a binary map is binary, so when the input carried
+        // spikes (certifying binarity) rebuild them over the pooled output —
+        // the downstream conv keeps its multiply-free dispatch.
+        let out = self.forward(input, step)?;
+        let sb = match spikes {
+            Some(_) if out.rank() >= 2 && out.dims()[0] > 0 && !out.is_empty() => {
+                Csr::from_binary(out.dims()[0], out.len() / out.dims()[0], out.as_slice())
+            }
+            _ => None,
+        };
         // The argmax cache only exists in training mode — which is also the
         // only mode where the active set has a consumer.
         let ab = match (active, self.cache.get(step)) {

@@ -1,8 +1,7 @@
 //! Residual basic block for spiking ResNets.
 
 use ndsnn_tensor::ops::conv::Conv2dGeometry;
-use ndsnn_tensor::ops::spike::SpikeBatch;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 use rand::Rng;
 
 use crate::error::Result;
@@ -62,7 +61,10 @@ impl BasicBlock {
             rng,
         )?;
         let bn1 = BatchNorm::new(format!("{name}.bn1"), out_channels, rng)?;
-        let lif1 = LifLayer::new(format!("{name}.lif1"), lif)?;
+        // The block's convolutions run the dense backward and the block emits
+        // no active set, so its populations never collect one.
+        let mut lif1 = LifLayer::new(format!("{name}.lif1"), lif)?;
+        lif1.set_grad_execution(-1.0, 0.0);
         let conv2 = Conv2d::new(
             format!("{name}.conv2"),
             Conv2dGeometry::square(out_channels, out_channels, 3, 1, 1),
@@ -83,7 +85,8 @@ impl BasicBlock {
         } else {
             None
         };
-        let lif_out = LifLayer::new(format!("{name}.lif_out"), lif)?;
+        let mut lif_out = LifLayer::new(format!("{name}.lif_out"), lif)?;
+        lif_out.set_grad_execution(-1.0, 0.0);
         Ok(BasicBlock {
             name,
             conv1,
@@ -103,36 +106,40 @@ impl Layer for BasicBlock {
     }
 
     fn forward(&mut self, input: &Tensor, step: usize) -> Result<Tensor> {
-        Ok(self.forward_spikes(input, None, step)?.0)
+        Ok(self.forward_active(input, None, None, step)?.0)
     }
 
-    fn forward_spikes(
+    fn forward_active(
         &mut self,
         input: &Tensor,
-        spikes: Option<SpikeBatch>,
+        spikes: Option<Csr>,
+        _active: Option<Csr>,
         step: usize,
-    ) -> Result<(Tensor, Option<SpikeBatch>)> {
+    ) -> Result<(Tensor, Option<Csr>, Option<Csr>)> {
         // The block input feeds two consumers (conv1 and the downsample
-        // conv), so the incoming batch is cloned for the skip path. lif1's
-        // emission feeds conv2; lif_out's emission is the block output batch.
+        // conv), so the incoming spikes are cloned for the skip path. lif1's
+        // emission feeds conv2; lif_out's emission is the block output. No
+        // active set enters or leaves the block: its convolutions run the
+        // dense backward.
         let skip_spikes = match &self.downsample {
             Some(_) => spikes.clone(),
             None => None,
         };
-        let (a, _) = self.conv1.forward_spikes(input, spikes, step)?;
+        let (a, _, _) = self.conv1.forward_active(input, spikes, None, step)?;
         let b = self.bn1.forward(&a, step)?;
-        let (c, c_spikes) = self.lif1.forward_spikes(&b, None, step)?;
-        let (d, _) = self.conv2.forward_spikes(&c, c_spikes, step)?;
+        let (c, c_spikes, _) = self.lif1.forward_active(&b, None, None, step)?;
+        let (d, _, _) = self.conv2.forward_active(&c, c_spikes, None, step)?;
         let mut e = self.bn2.forward(&d, step)?;
         let skip = match &mut self.downsample {
             Some((conv, bn)) => {
-                let (s, _) = conv.forward_spikes(input, skip_spikes, step)?;
+                let (s, _, _) = conv.forward_active(input, skip_spikes, None, step)?;
                 bn.forward(&s, step)?
             }
             None => input.clone(),
         };
         e.add_assign(&skip)?;
-        self.lif_out.forward_spikes(&e, None, step)
+        let (out, out_spikes, _) = self.lif_out.forward_active(&e, None, None, step)?;
+        Ok((out, out_spikes, None))
     }
 
     fn backward(&mut self, grad_out: &Tensor, step: usize) -> Result<Tensor> {

@@ -53,4 +53,4 @@ mod param;
 pub mod surrogate;
 
 pub use error::{Result, SnnError};
-pub use param::{ExecPlan, Param, ParamKind};
+pub use param::{Param, ParamKind};

@@ -1,21 +1,8 @@
 //! Trainable parameters.
 
-use ndsnn_tensor::ops::spmm::RowPattern;
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 
 use crate::error::{Result, SnnError};
-
-/// How a layer should execute the products involving one weight.
-///
-/// The plan holds an *index-only* sparsity pattern of the weight viewed as a
-/// 2-D matrix (rows = output features / filters). Values are always gathered
-/// from the dense [`Param::value`] at use time, so the plan stays valid
-/// across optimizer steps and only needs rebuilding when the mask changes.
-#[derive(Debug, Clone)]
-pub struct ExecPlan {
-    /// Active positions of the 2-D weight view.
-    pub pattern: RowPattern,
-}
 
 /// Role of a parameter, used by the sparse-training engines to decide what is
 /// eligible for masking.
@@ -48,9 +35,13 @@ pub struct Param {
     /// Role of this parameter.
     pub kind: ParamKind,
     /// Sparse execution plan, installed by the sparse-training engines when
-    /// this weight's density drops below the configured threshold. `None`
-    /// means dense execution.
-    pub plan: Option<ExecPlan>,
+    /// this weight's density drops below the configured threshold: the
+    /// index-only pattern of the weight viewed as a 2-D matrix (rows =
+    /// output features / filters). Values are always gathered from the dense
+    /// [`Param::value`] at use time, so the plan stays valid across
+    /// optimizer steps and only needs rebuilding when the mask changes.
+    /// `None` means dense execution.
+    pub plan: Option<Csr>,
 }
 
 impl Param {
@@ -69,21 +60,21 @@ impl Param {
     /// The installed sparse pattern, validated against the 2-D view of the
     /// weight (`dims[0] × rest`). Layers call this at every dispatch point so
     /// a stale plan fails loudly instead of misindexing.
-    pub fn exec_pattern(&self) -> Result<Option<&RowPattern>> {
+    pub fn exec_pattern(&self) -> Result<Option<&Csr>> {
         let Some(plan) = &self.plan else {
             return Ok(None);
         };
         let rows = *self.value.dims().first().unwrap_or(&0);
         let cols = self.value.len().checked_div(rows).unwrap_or(0);
-        if plan.pattern.rows() != rows || plan.pattern.cols() != cols {
+        if plan.dims() != (rows, cols) {
             return Err(SnnError::InvalidState(format!(
                 "{}: exec plan {}x{} does not match weight viewed as {rows}x{cols}",
                 self.name,
-                plan.pattern.rows(),
-                plan.pattern.cols()
+                plan.rows(),
+                plan.cols()
             )));
         }
-        Ok(Some(&plan.pattern))
+        Ok(Some(plan))
     }
 
     /// Clears the accumulated gradient.
@@ -131,20 +122,14 @@ mod tests {
     fn exec_pattern_validates_shape() {
         let mut p = Param::new("w", Tensor::ones([2, 3]), ParamKind::Weight);
         assert!(p.exec_pattern().unwrap().is_none());
-        p.plan = Some(ExecPlan {
-            pattern: RowPattern::from_mask(2, 3, &[1., 0., 1., 0., 1., 0.]),
-        });
+        p.plan = Some(Csr::from_mask(2, 3, &[1., 0., 1., 0., 1., 0.]));
         assert_eq!(p.exec_pattern().unwrap().unwrap().nnz(), 3);
         // Conv-style weight: rows = filters, cols = flattened rest.
         let mut c = Param::new("cw", Tensor::ones([2, 1, 2, 2]), ParamKind::Weight);
-        c.plan = Some(ExecPlan {
-            pattern: RowPattern::from_mask(2, 4, &[1.0; 8]),
-        });
+        c.plan = Some(Csr::from_mask(2, 4, &[1.0; 8]));
         assert!(c.exec_pattern().is_ok());
         // Mismatched plan fails loudly.
-        c.plan = Some(ExecPlan {
-            pattern: RowPattern::from_mask(2, 3, &[1.0; 6]),
-        });
+        c.plan = Some(Csr::from_mask(2, 3, &[1.0; 6]));
         assert!(c.exec_pattern().is_err());
     }
 

@@ -1,220 +1,21 @@
-//! Compressed Sparse Row storage and the frozen-model spmv kernels.
+//! The frozen-model CSR kernels.
 //!
 //! The paper's memory-footprint analysis (§III.D) assumes CSR for sparse
 //! weights: reshaping a 4-D conv weight `(F, C, KH, KW)` to a 2-D matrix of
 //! `F` rows by `C·K²` columns, the index overhead is one column index per
-//! non-zero plus `F + 1` row pointers.
+//! non-zero plus `F + 1` row pointers — [`Csr::from_weight`] and
+//! [`Csr::storage_bits`].
 //!
 //! During *training* the value array would go stale every optimizer step, so
-//! the execution engine uses the index-only
-//! [`RowPattern`](ndsnn_tensor::ops::spmm::RowPattern) over the live dense
+//! the execution engine uses an index-only [`Csr`] plan over the live dense
 //! weight instead. A *frozen* model has no such staleness: the inference
 //! compiler (`ndsnn-infer`) packs each masked weight into a value-carrying
-//! `CsrMatrix` once, and the [`csr_xwt`] / [`csr_mm`] kernels here execute it
+//! `Csr<f32>` once, and the [`csr_xwt`] / [`csr_mm`] kernels here execute it
 //! directly — the same accumulation order as the dense and pattern-sparse
 //! kernels, so results stay bit-identical across every dispatch choice.
 
 use ndsnn_tensor::ops::matmul::for_output_row_ranges;
-use ndsnn_tensor::Tensor;
-
-use crate::error::{Result, SparseError};
-
-/// A CSR matrix over `f32` values with `u32` indices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
-    rows: usize,
-    cols: usize,
-    values: Vec<f32>,
-    col_indices: Vec<u32>,
-    row_ptr: Vec<u32>,
-}
-
-impl CsrMatrix {
-    /// Converts a dense rank-2 tensor to CSR, treating exact zeros as holes.
-    pub fn from_dense(t: &Tensor) -> Result<Self> {
-        if t.rank() != 2 {
-            return Err(SparseError::InvalidConfig(format!(
-                "CSR requires a rank-2 tensor, got rank {}",
-                t.rank()
-            )));
-        }
-        let (rows, cols) = (t.dims()[0], t.dims()[1]);
-        let mut values = Vec::new();
-        let mut col_indices = Vec::new();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        let d = t.as_slice();
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = d[r * cols + c];
-                if v != 0.0 {
-                    values.push(v);
-                    col_indices.push(c as u32);
-                }
-            }
-            row_ptr.push(values.len() as u32);
-        }
-        Ok(CsrMatrix {
-            rows,
-            cols,
-            values,
-            col_indices,
-            row_ptr,
-        })
-    }
-
-    /// Converts a rank-4 conv weight `(F, C, KH, KW)` to CSR by reshaping to
-    /// `F × (C·KH·KW)` — the layout of paper §III.D.
-    pub fn from_conv_weight(t: &Tensor) -> Result<Self> {
-        if t.rank() != 4 {
-            return Err(SparseError::InvalidConfig(format!(
-                "conv weight must be rank 4, got rank {}",
-                t.rank()
-            )));
-        }
-        let f = t.dims()[0];
-        let rest: usize = t.dims()[1..].iter().product();
-        Self::from_dense(&t.reshape([f, rest])?)
-    }
-
-    /// Builds a matrix from raw CSR arrays, validating the invariants the
-    /// kernels rely on: `row_ptr` has `rows + 1` non-decreasing entries
-    /// starting at 0 and ending at `values.len()`, `col_indices` matches
-    /// `values` in length, and every row's column indices are strictly
-    /// ascending and in range. This is the deserialization entry point for
-    /// inference artifacts, so the input is treated as hostile — every
-    /// violation is an error, never a panic or a silently wrong product.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        values: Vec<f32>,
-        col_indices: Vec<u32>,
-        row_ptr: Vec<u32>,
-    ) -> Result<Self> {
-        let bad = |msg: String| SparseError::InvalidConfig(format!("invalid CSR: {msg}"));
-        if cols > u32::MAX as usize {
-            return Err(bad(format!("column count {cols} overflows u32")));
-        }
-        if row_ptr.len() != rows + 1 {
-            return Err(bad(format!(
-                "row_ptr has {} entries, want {}",
-                row_ptr.len(),
-                rows + 1
-            )));
-        }
-        if row_ptr[0] != 0 {
-            return Err(bad(format!("row_ptr[0] = {}, want 0", row_ptr[0])));
-        }
-        if values.len() != col_indices.len() {
-            return Err(bad(format!(
-                "{} values vs {} column indices",
-                values.len(),
-                col_indices.len()
-            )));
-        }
-        if *row_ptr.last().expect("len >= 1") as usize != values.len() {
-            return Err(bad(format!(
-                "row_ptr ends at {} but {} values are stored",
-                row_ptr.last().expect("len >= 1"),
-                values.len()
-            )));
-        }
-        for r in 0..rows {
-            let (s, e) = (row_ptr[r], row_ptr[r + 1]);
-            if s > e {
-                return Err(bad(format!("row_ptr decreases at row {r}")));
-            }
-            let row = &col_indices[s as usize..e as usize];
-            if !row.windows(2).all(|w| w[0] < w[1]) {
-                return Err(bad(format!("row {r} indices not strictly ascending")));
-            }
-            if row.last().is_some_and(|&c| c as usize >= cols) {
-                return Err(bad(format!("row {r} column index out of range")));
-            }
-        }
-        Ok(CsrMatrix {
-            rows,
-            cols,
-            values,
-            col_indices,
-            row_ptr,
-        })
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Fraction of stored positions, in `[0, 1]`.
-    pub fn density(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / total as f64
-        }
-    }
-
-    /// The stored values, row-major within rows.
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
-    /// The stored column indices, ascending within each row.
-    pub fn col_indices(&self) -> &[u32] {
-        &self.col_indices
-    }
-
-    /// The `rows + 1` row pointers.
-    pub fn row_ptr(&self) -> &[u32] {
-        &self.row_ptr
-    }
-
-    /// Ascending column indices and their values for row `r`.
-    #[inline]
-    pub fn row_entries(&self, r: usize) -> (&[u32], &[f32]) {
-        let (s, e) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-        (&self.col_indices[s..e], &self.values[s..e])
-    }
-
-    /// Matrix dimensions `(rows, cols)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Reconstructs the dense tensor.
-    pub fn to_dense(&self) -> Tensor {
-        let mut out = Tensor::zeros([self.rows, self.cols]);
-        let od = out.as_mut_slice();
-        for r in 0..self.rows {
-            let (s, e) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            for i in s..e {
-                od[r * self.cols + self.col_indices[i] as usize] = self.values[i];
-            }
-        }
-        out
-    }
-
-    /// Per-row ascending column indices of stored non-zeros.
-    ///
-    /// `CsrMatrix` is the *storage/footprint* model (paper §III.D) and the
-    /// frozen-artifact execution format;
-    /// [`ndsnn_tensor::ops::spmm::RowPattern`] is the index-only layout the
-    /// *training* kernels consume (values gathered from the live dense
-    /// weight). This accessor lets tests pin the two representations to the
-    /// same structure.
-    pub fn row(&self, r: usize) -> &[u32] {
-        &self.col_indices[self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize]
-    }
-
-    /// Storage size in bits given weight precision `b_w` and index precision
-    /// `b_idx` (paper §III.D): `nnz·b_w + nnz·b_idx + (rows+1)·b_idx`.
-    pub fn storage_bits(&self, b_w: u32, b_idx: u32) -> u64 {
-        let nnz = self.nnz() as u64;
-        nnz * b_w as u64 + nnz * b_idx as u64 + (self.rows as u64 + 1) * b_idx as u64
-    }
-}
+use ndsnn_tensor::Csr;
 
 /// `y(batch × rows) += x(batch × cols) · Wᵀ` with `W` in CSR — the frozen
 /// linear-layer forward. Threads over batch samples (disjoint `y` rows) on
@@ -227,7 +28,7 @@ impl CsrMatrix {
 /// dense zeros whose `±0.0` contributions cannot change such a chain (the
 /// zero-skip argument of [`ndsnn_tensor::ops::spike`]). The `x == 0.0` skip
 /// serves spiking activations, exactly as in `sp_xwt`.
-pub fn csr_xwt(w: &CsrMatrix, x: &[f32], y: &mut [f32], batch: usize) {
+pub fn csr_xwt(w: &Csr<f32>, x: &[f32], y: &mut [f32], batch: usize) {
     let (rows, cols) = w.dims();
     debug_assert_eq!(x.len(), batch * cols);
     debug_assert_eq!(y.len(), batch * rows);
@@ -260,7 +61,7 @@ pub fn csr_xwt(w: &CsrMatrix, x: &[f32], y: &mut [f32], batch: usize) {
 /// equivalent dense weight: rows outermost, stored columns ascending, each
 /// scaling the same `b` row into the same output row — the `wv == 0.0` skip
 /// is kept for artifacts that store explicit zeros.
-pub fn csr_mm(w: &CsrMatrix, b: &[f32], out: &mut [f32], n: usize) {
+pub fn csr_mm(w: &Csr<f32>, b: &[f32], out: &mut [f32], n: usize) {
     let (rows, cols) = w.dims();
     debug_assert_eq!(b.len(), cols * n);
     debug_assert_eq!(out.len(), rows * n);
@@ -297,7 +98,7 @@ pub fn csr_mm(w: &CsrMatrix, b: &[f32], out: &mut [f32], n: usize) {
 /// of [`ndsnn_tensor::ops::spike`], identical to the `x == 0.0` skip in
 /// [`csr_xwt`]).
 pub fn csr_mm_packed(
-    w: &CsrMatrix,
+    w: &Csr<f32>,
     ptr: &[u32],
     pos: &[u32],
     vals: &[f32],
@@ -326,122 +127,7 @@ pub fn csr_mm_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Tensor {
-        Tensor::from_vec(
-            [3, 4],
-            vec![
-                1.0, 0.0, 2.0, 0.0, //
-                0.0, 0.0, 0.0, 0.0, //
-                0.0, 3.0, 0.0, 4.0,
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn round_trips_dense() {
-        let t = sample();
-        let csr = CsrMatrix::from_dense(&t).unwrap();
-        assert_eq!(csr.nnz(), 4);
-        assert_eq!(csr.dims(), (3, 4));
-        assert_eq!(csr.to_dense(), t);
-    }
-
-    #[test]
-    fn empty_row_handled() {
-        let csr = CsrMatrix::from_dense(&sample()).unwrap();
-        assert_eq!(csr.row_ptr, vec![0, 2, 2, 4]);
-    }
-
-    /// Pins the storage model (CSR) to the execution layout (RowPattern):
-    /// identical non-zero structure from the same matrix, and the production
-    /// `sp_xwt` kernel over that pattern reproduces the dense product — so
-    /// footprint numbers reported from CSR describe exactly what executes.
-    #[test]
-    fn structure_agrees_with_execution_row_pattern() {
-        use ndsnn_tensor::ops::spmm::{sp_xwt, RowPattern};
-        let t = sample();
-        let csr = CsrMatrix::from_dense(&t).unwrap();
-        let (rows, cols) = csr.dims();
-        let pat = RowPattern::from_mask(rows, cols, t.as_slice());
-        assert_eq!(csr.nnz(), pat.nnz());
-        for r in 0..rows {
-            assert_eq!(csr.row(r), pat.row(r), "row {r} structure differs");
-        }
-        // y = x·Wᵀ with batch 1 is the spmv this storage describes.
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let mut y = vec![0.0f32; rows];
-        sp_xwt(&pat, t.as_slice(), &x, &mut y, 1);
-        assert_eq!(y, vec![7.0, 0.0, 22.0]);
-    }
-
-    #[test]
-    fn conv_weight_reshape() {
-        let mut w = Tensor::zeros([2, 3, 2, 2]);
-        w.as_mut_slice()[0] = 5.0;
-        w.as_mut_slice()[23] = -1.0;
-        let csr = CsrMatrix::from_conv_weight(&w).unwrap();
-        assert_eq!(csr.dims(), (2, 12));
-        assert_eq!(csr.nnz(), 2);
-    }
-
-    #[test]
-    fn storage_bits_formula() {
-        let csr = CsrMatrix::from_dense(&sample()).unwrap();
-        // 4 nnz × (32 + 16) + 4 ptrs × 16 = 192 + 64 = 256.
-        assert_eq!(csr.storage_bits(32, 16), 4 * 48 + 4 * 16);
-    }
-
-    #[test]
-    fn rank_checks() {
-        assert!(CsrMatrix::from_dense(&Tensor::zeros([4])).is_err());
-        assert!(CsrMatrix::from_conv_weight(&Tensor::zeros([2, 2])).is_err());
-    }
-
-    #[test]
-    fn fully_sparse_and_fully_dense() {
-        let z = Tensor::zeros([2, 2]);
-        let csr = CsrMatrix::from_dense(&z).unwrap();
-        assert_eq!(csr.nnz(), 0);
-        assert_eq!(csr.to_dense(), z);
-        let d = Tensor::ones([2, 2]);
-        assert_eq!(CsrMatrix::from_dense(&d).unwrap().nnz(), 4);
-    }
-
-    #[test]
-    fn from_parts_round_trips() {
-        let t = sample();
-        let a = CsrMatrix::from_dense(&t).unwrap();
-        let b = CsrMatrix::from_parts(
-            3,
-            4,
-            a.values().to_vec(),
-            a.col_indices().to_vec(),
-            a.row_ptr().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(b.to_dense(), t);
-        assert!((b.density() - 4.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_parts_rejects_hostile_input() {
-        // Wrong row_ptr length.
-        assert!(CsrMatrix::from_parts(2, 2, vec![], vec![], vec![0, 0]).is_err());
-        // row_ptr must start at zero.
-        assert!(CsrMatrix::from_parts(1, 2, vec![1.0], vec![0], vec![1, 1]).is_err());
-        // values/col_indices length mismatch.
-        assert!(CsrMatrix::from_parts(1, 2, vec![1.0], vec![0, 1], vec![0, 2]).is_err());
-        // Last row_ptr must equal nnz.
-        assert!(CsrMatrix::from_parts(1, 2, vec![1.0], vec![0], vec![0, 2]).is_err());
-        // Decreasing range.
-        assert!(CsrMatrix::from_parts(2, 2, vec![1.0], vec![0], vec![1, 0, 1]).is_err());
-        // Non-ascending (duplicate) column index within a row.
-        assert!(CsrMatrix::from_parts(1, 3, vec![1.0, 2.0], vec![1, 1], vec![0, 2]).is_err());
-        // Column index out of bounds.
-        assert!(CsrMatrix::from_parts(1, 2, vec![1.0], vec![2], vec![0, 1]).is_err());
-    }
+    use ndsnn_tensor::Tensor;
 
     /// Dense reference for the kernel tests: small pseudo-random matrices via
     /// a fixed LCG, thresholded to ~70 % zeros so the skip paths execute.
@@ -464,20 +150,20 @@ mod tests {
     #[test]
     fn csr_xwt_bitwise_matches_dense_and_pattern() {
         use ndsnn_tensor::ops::matmul::matmul_a_bt;
-        use ndsnn_tensor::ops::spmm::{sp_xwt, RowPattern};
+        use ndsnn_tensor::ops::spmm::sp_xwt;
         let (batch, rows, cols) = (3, 5, 7);
         let mut seed = 0x5EED_0001u64;
         let w = lcg_matrix(rows, cols, &mut seed, true);
         let x = lcg_matrix(batch, cols, &mut seed, true);
         let wt = Tensor::from_vec([rows, cols], w.clone()).unwrap();
         let xt = Tensor::from_vec([batch, cols], x.clone()).unwrap();
-        let csr = CsrMatrix::from_dense(&wt).unwrap();
+        let csr = Csr::from_dense(rows, cols, &w);
 
         let y_dense = matmul_a_bt(&xt, &wt).unwrap();
         let y_dense = y_dense.as_slice();
         let mut y_pat = vec![0.0f32; batch * rows];
         let mut y_csr = vec![0.0f32; batch * rows];
-        let pat = RowPattern::from_mask(rows, cols, &w);
+        let pat = Csr::from_mask(rows, cols, &w);
         sp_xwt(&pat, &w, &x, &mut y_pat, batch);
         csr_xwt(&csr, &x, &mut y_csr, batch);
         for i in 0..y_dense.len() {
@@ -502,7 +188,7 @@ mod tests {
         let mut seed = 0xFACEu64;
         let w = lcg_matrix(rows, cols, &mut seed, true);
         let x = lcg_matrix(batch, cols, &mut seed, true);
-        let csr = CsrMatrix::from_dense(&Tensor::from_vec([rows, cols], w).unwrap()).unwrap();
+        let csr = Csr::from_dense(rows, cols, &w);
         let mut y_serial = vec![0.0f32; batch * rows];
         run_serial(|| csr_xwt(&csr, &x, &mut y_serial, batch));
         set_thread_override(Some(4));
@@ -521,19 +207,18 @@ mod tests {
     #[test]
     fn csr_mm_bitwise_matches_dense_and_pattern() {
         use ndsnn_tensor::ops::matmul::matmul_into;
-        use ndsnn_tensor::ops::spmm::{sp_mm, RowPattern};
+        use ndsnn_tensor::ops::spmm::sp_mm;
         let (rows, cols, n) = (5, 6, 9);
         let mut seed = 0x5EED_0002u64;
         let w = lcg_matrix(rows, cols, &mut seed, true);
         let b = lcg_matrix(cols, n, &mut seed, false);
-        let csr =
-            CsrMatrix::from_dense(&Tensor::from_vec([rows, cols], w.clone()).unwrap()).unwrap();
+        let csr = Csr::from_dense(rows, cols, &w);
 
         let mut o_dense = lcg_matrix(rows, n, &mut seed, false);
         let mut o_pat = o_dense.clone();
         let mut o_csr = o_dense.clone();
         matmul_into(&w, &b, &mut o_dense, rows, cols, n);
-        let pat = RowPattern::from_mask(rows, cols, &w);
+        let pat = Csr::from_mask(rows, cols, &w);
         sp_mm(&pat, &w, &b, &mut o_pat, n);
         csr_mm(&csr, &b, &mut o_csr, n);
         for i in 0..o_dense.len() {
@@ -555,7 +240,7 @@ mod tests {
         let (rows, cols, n) = (6, 9, 11);
         let mut seed = 0x5EED_0003u64;
         let w = lcg_matrix(rows, cols, &mut seed, true);
-        let csr = CsrMatrix::from_dense(&Tensor::from_vec([rows, cols], w).unwrap()).unwrap();
+        let csr = Csr::from_dense(rows, cols, &w);
         // Spike-like b at several densities, including a fully dense row,
         // an all-zero b (everything elided) and negative weights against
         // zero activations (the ±0.0 products the skip argument covers).

@@ -8,10 +8,8 @@
 //! uniformly at random instead.
 
 use ndsnn_snn::layers::Layer;
-use ndsnn_snn::ExecPlan;
-use ndsnn_tensor::ops::spmm::RowPattern;
 use ndsnn_tensor::ops::topk::{par_bottom_k_indices_where, par_top_k_indices_where};
-use ndsnn_tensor::Tensor;
+use ndsnn_tensor::{Csr, Tensor};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -35,7 +33,8 @@ pub fn density_threshold_from_env() -> f64 {
 
 /// Installs (or clears) sparse execution plans on the model's sparsifiable
 /// weights: a layer whose mask density is strictly below `threshold` gets an
-/// index-only [`RowPattern`] of its mask; everything else runs dense.
+/// index-only [`Csr`] of its mask ([`Csr::from_mask`]); everything else runs
+/// dense.
 ///
 /// Called once after mask initialization and again after every drop-and-grow
 /// round — the pattern is index-only, so it stays valid across optimizer
@@ -56,9 +55,7 @@ pub fn install_exec_plans(model: &mut dyn Layer, masks: &MaskSet, threshold: f64
                 return None;
             }
             let rows = param.value.dims()[0];
-            Some(ExecPlan {
-                pattern: RowPattern::from_mask(rows, n / rows.max(1), mask.as_slice()),
-            })
+            Some(Csr::from_mask(rows, n / rows.max(1), mask.as_slice()))
         });
         installed += plan.is_some() as usize;
         param.plan = plan;

@@ -15,7 +15,8 @@
 //! - [`set`], [`rigl`]: constant-sparsity dynamic baselines,
 //! - [`lth`]: iterative magnitude pruning with rewinding,
 //! - [`admm`]: train-prune-retrain via ADMM,
-//! - [`csr`], [`memory`]: CSR storage and the §III.D memory-footprint model,
+//! - [`csr`], [`memory`]: frozen-weight CSR kernels and the §III.D
+//!   memory-footprint model,
 //! - [`structured`]: filter-level pruning (extension beyond the paper).
 //!
 //! ## Example: run one NDSNN drop-and-grow round

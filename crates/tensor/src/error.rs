@@ -57,6 +57,8 @@ pub enum TensorError {
     },
     /// Deserialization found malformed bytes.
     Corrupt(String),
+    /// Raw CSR parts violate the compressed-sparse-row invariant.
+    InvalidCsr(String),
 }
 
 impl fmt::Display for TensorError {
@@ -87,6 +89,7 @@ impl fmt::Display for TensorError {
                 write!(f, "axis {axis} out of bounds for rank {rank}")
             }
             TensorError::Corrupt(msg) => write!(f, "corrupt tensor encoding: {msg}"),
+            TensorError::InvalidCsr(msg) => write!(f, "invalid CSR: {msg}"),
         }
     }
 }

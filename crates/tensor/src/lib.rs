@@ -13,6 +13,9 @@
 //! - [`ops::conv`]: im2col-based 2-D convolution with full backward passes,
 //! - [`ops::pool`]: average/max/global pooling with backward passes,
 //! - [`ops::reduce`]: softmax, cross-entropy (with gradient), accuracy,
+//! - [`Csr`]: the one compressed-sparse-row type behind every sparse
+//!   operand (spike batches, gradient active sets, weight plans, packed and
+//!   frozen weights),
 //! - [`ops::topk`]: bounded-heap partial selection used by the drop-and-grow
 //!   sparse training schedules,
 //! - [`init`]: seeded Kaiming/Xavier/uniform/normal initializers,
@@ -33,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+mod csr;
 pub mod env;
 mod error;
 pub mod init;
@@ -43,6 +47,7 @@ pub mod serialize;
 mod shape;
 mod tensor;
 
+pub use csr::Csr;
 pub use error::{Result, TensorError};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -14,16 +14,17 @@
 //! and stay bit-identical to the dense core.
 
 use crate::error::{Result, TensorError};
-use crate::ops::grad::{gather_conv_dx, transpose_into, GradActiveBatch, PackedWt};
+use crate::ops::grad::{gather_conv_dx, transpose_into};
 use crate::ops::layout::Im2colLayout;
 use crate::ops::spike::{gather_conv_dw, gather_conv_fwd};
-use crate::ops::spmm::{sp_mm, sp_mm_t, RowPattern};
+use crate::ops::spmm::{sp_mm, sp_mm_t};
 use crate::ops::tile::{
     conv_fwd_tiled, gemm_tiled, BiasRow, NoEpilogue, PanelA, PanelB, TileEpilogue,
 };
 use crate::parallel::SharedSlice;
 use crate::scratch::ScratchPool;
 use crate::tensor::Tensor;
+use crate::Csr;
 
 /// Upper bound on the number of sample blocks the backward pass splits a
 /// batch into. The partition depends only on the batch size — never on the
@@ -294,7 +295,7 @@ pub fn col2im(
     }
 }
 
-fn check_pattern(pattern: Option<&RowPattern>, g: &Conv2dGeometry, cr: usize) -> Result<()> {
+fn check_pattern(pattern: Option<&Csr>, g: &Conv2dGeometry, cr: usize) -> Result<()> {
     if let Some(pat) = pattern {
         if pat.rows() != g.out_channels || pat.cols() != cr {
             return Err(TensorError::ShapeMismatch {
@@ -367,7 +368,7 @@ pub fn conv2d_forward_exec(
     bias: Option<&Tensor>,
     g: &Conv2dGeometry,
     pool: &ScratchPool,
-    pattern: Option<&RowPattern>,
+    pattern: Option<&Csr>,
     spike_gather: bool,
 ) -> Result<Tensor> {
     if let Some(bias) = bias {
@@ -563,9 +564,10 @@ impl TileEpilogue for FoldAndRezero<'_> {
 /// decisions that read gradients are unchanged by either dispatch). `dBias`
 /// is always computed dense.
 ///
-/// With `active` (the receiver population's per-timestep
-/// [`GradActiveBatch`], `b × C·H·W` over the conv *input*, paired with the
-/// caller's [`PackedWt`] of this weight viewed as `F × (C·KH·KW)`), the
+/// With `active` (the receiver population's per-timestep active set, a
+/// `b × C·H·W` index-only [`Csr`] over the conv *input*, paired with the
+/// caller's [`Csr::from_dense_transposed`] pack of this weight viewed as
+/// `F × (C·KH·KW)`), the
 /// `dCol` product and `col2im` scatter are replaced by [`gather_conv_dx`]:
 /// `dX` is computed only at active input pixels, in the dense accumulation
 /// order, and stays `0.0` elsewhere — exact for downstream consumers that
@@ -582,9 +584,9 @@ pub fn conv2d_backward_exec(
     grad_out: &Tensor,
     g: &Conv2dGeometry,
     pool: &ScratchPool,
-    pattern: Option<&RowPattern>,
+    pattern: Option<&Csr>,
     spike_gather: bool,
-    active: Option<(&GradActiveBatch, &PackedWt)>,
+    active: Option<(&Csr, &Csr<f32>)>,
 ) -> Result<Conv2dGrads> {
     let (b, h, w) = check_input(input, g)?;
     let (oh, ow) = g.output_hw(h, w)?;
@@ -1162,27 +1164,32 @@ mod tests {
         let (oh, ow) = g.output_hw(9, 9).unwrap();
         let grad_out = crate::init::uniform([6, 4, oh, ow], -1.0, 1.0, &mut rng);
 
-        let pool = ScratchPool::new();
-        for _ in 0..3 {
-            let out = conv2d_forward_pooled(&input, &weight, Some(&bias), &g, &pool).unwrap();
-            let plain = conv2d_forward(&input, &weight, Some(&bias), &g).unwrap();
-            assert_eq!(out.as_slice(), plain.as_slice());
+        // Serial, so the pool's peak demand is fixed: threaded, it depends on
+        // how many sample blocks happen to hold buffers at once, and a later
+        // call that sees more concurrency may legitimately grow the pool.
+        crate::parallel::run_serial(|| {
+            let pool = ScratchPool::new();
+            for _ in 0..3 {
+                let out = conv2d_forward_pooled(&input, &weight, Some(&bias), &g, &pool).unwrap();
+                let plain = conv2d_forward(&input, &weight, Some(&bias), &g).unwrap();
+                assert_eq!(out.as_slice(), plain.as_slice());
 
-            let grads = conv2d_backward_pooled(&input, &weight, &grad_out, &g, &pool).unwrap();
-            let plain = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
-            assert_eq!(grads.input_grad.as_slice(), plain.input_grad.as_slice());
-            assert_eq!(grads.weight_grad.as_slice(), plain.weight_grad.as_slice());
-            assert_eq!(grads.bias_grad.as_slice(), plain.bias_grad.as_slice());
-        }
-        // All taken buffers were returned; subsequent calls reuse them.
-        assert!(pool.idle_buffers() > 0);
-        let retained = pool.retained_capacity();
-        let _ = conv2d_backward_pooled(&input, &weight, &grad_out, &g, &pool).unwrap();
-        assert_eq!(
-            pool.retained_capacity(),
-            retained,
-            "steady-state backward must not grow the pool"
-        );
+                let grads = conv2d_backward_pooled(&input, &weight, &grad_out, &g, &pool).unwrap();
+                let plain = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
+                assert_eq!(grads.input_grad.as_slice(), plain.input_grad.as_slice());
+                assert_eq!(grads.weight_grad.as_slice(), plain.weight_grad.as_slice());
+                assert_eq!(grads.bias_grad.as_slice(), plain.bias_grad.as_slice());
+            }
+            // All taken buffers were returned; subsequent calls reuse them.
+            assert!(pool.idle_buffers() > 0);
+            let retained = pool.retained_capacity();
+            let _ = conv2d_backward_pooled(&input, &weight, &grad_out, &g, &pool).unwrap();
+            assert_eq!(
+                pool.retained_capacity(),
+                retained,
+                "steady-state backward must not grow the pool"
+            );
+        });
     }
 
     /// The sparse dispatch must reproduce the dense result on a masked
@@ -1204,7 +1211,7 @@ mod tests {
         for (wv, m) in weight.as_mut_slice().iter_mut().zip(&mask) {
             *wv *= m;
         }
-        let pat = RowPattern::from_mask(g.out_channels, g.col_rows(), &mask);
+        let pat = Csr::from_mask(g.out_channels, g.col_rows(), &mask);
         let pool = ScratchPool::new();
         let (oh, ow) = g.output_hw(8, 8).unwrap();
         let grad_out = crate::init::uniform([3, 6, oh, ow], -1.0, 1.0, &mut rng);
@@ -1240,7 +1247,7 @@ mod tests {
         assert_eq!(sg.bias_grad.as_slice(), dg.bias_grad.as_slice());
 
         // A pattern whose shape disagrees with the geometry is rejected.
-        let bad = RowPattern::from_mask(1, 2, &[1.0, 0.0]);
+        let bad = Csr::from_mask(1, 2, &[1.0, 0.0]);
         assert!(conv2d_forward_exec(&input, &weight, None, &g, &pool, Some(&bad), false).is_err());
         assert!(conv2d_backward_exec(
             &input,

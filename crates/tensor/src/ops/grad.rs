@@ -4,7 +4,7 @@
 //! potential sits outside the surrogate's active window contributes an
 //! *exact* zero to every downstream product (Perez-Nieves & Goodman, "Sparse
 //! Spiking Gradient Descent"). Where LIF/PLIF evaluate the surrogate they
-//! also emit a per-timestep [`GradActiveBatch`] — the ascending indices of
+//! also emit a per-timestep active set — an index-only [`Csr`] of the
 //! neurons with `|φ'(v)| > τ` (τ defaults to `0.0`, membership is then
 //! exactly "derivative is non-zero"). The producing layer's *input-gradient*
 //! `dX` is consumed downstream only through the `dldo · φ'(x)` product of
@@ -35,6 +35,7 @@
 //! documented since the spike-gather PR.
 
 use crate::ops::conv::Conv2dGeometry;
+use crate::Csr;
 
 /// Default active-set density below which consumer layers dispatch the
 /// backward `dX` through the gather kernels; at or above it they run the
@@ -72,93 +73,6 @@ pub fn grad_active_threshold_from_env() -> f64 {
         .unwrap_or(DEFAULT_GRAD_ACTIVE_THRESHOLD)
 }
 
-/// Per-timestep ascending active-neuron index lists for the backward pass.
-///
-/// Mirrors [`SpikeBatch`](crate::ops::spike::SpikeBatch): the population is
-/// viewed as `rows × cols` (batch samples × flattened per-sample features)
-/// and, per row, the indices of *gradient-active* neurons — those whose
-/// surrogate derivative magnitude exceeds the tolerance — are stored
-/// ascending in CSR layout without values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GradActiveBatch {
-    rows: usize,
-    cols: usize,
-    idx: Vec<u32>,
-    row_ptr: Vec<u32>,
-}
-
-impl GradActiveBatch {
-    /// Builds a batch from *ascending* flat indices into the row-major
-    /// `rows × cols` tensor — the natural output of the fused LIF scan that
-    /// already walks the membrane buffer once per timestep.
-    ///
-    /// # Panics
-    /// Debug-asserts that the indices are strictly ascending and in range.
-    pub fn from_flat_indices(rows: usize, cols: usize, flat: Vec<u32>) -> GradActiveBatch {
-        debug_assert!(cols <= u32::MAX as usize, "column index overflows u32");
-        debug_assert!(
-            flat.windows(2).all(|w| w[0] < w[1]),
-            "indices not ascending"
-        );
-        debug_assert!(flat.last().is_none_or(|&i| (i as usize) < rows * cols));
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        let mut seen = 0usize;
-        let mut idx = flat;
-        for r in 0..rows {
-            let row_end = ((r + 1) * cols) as u64;
-            while seen < idx.len() && u64::from(idx[seen]) < row_end {
-                seen += 1;
-            }
-            row_ptr.push(seen as u32);
-        }
-        for r in 0..rows {
-            let base = (r * cols) as u32;
-            for v in &mut idx[row_ptr[r] as usize..row_ptr[r + 1] as usize] {
-                *v -= base;
-            }
-        }
-        GradActiveBatch {
-            rows,
-            cols,
-            idx,
-            row_ptr,
-        }
-    }
-
-    /// Batch rows (samples).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Flattened per-sample feature count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Total gradient-active entries.
-    pub fn nnz(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Active fraction in `[0, 1]` (the realized backward density of this
-    /// timestep).
-    pub fn density(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / total as f64
-        }
-    }
-
-    /// Ascending active column indices of row `r`.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[u32] {
-        &self.idx[self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize]
-    }
-}
-
 /// Transposes a row-major `rows × cols` matrix into `wt` (`cols × rows`).
 ///
 /// The gather kernels walk one *column* of the original weight per active
@@ -175,92 +89,12 @@ pub fn transpose_into(w: &[f32], rows: usize, cols: usize, wt: &mut [f32]) {
     }
 }
 
-/// The transposed weight with masked (zero) entries compressed out — the
-/// operand the gather kernels walk.
-///
-/// At the paper's θ = 0.9 the dense backward already exploits *weight*
-/// sparsity (`sp_mm_t` walks a [`RowPattern`](crate::ops::spmm::RowPattern));
-/// a gather that re-reads the dense weight would forfeit that factor and only
-/// keep the *activity* factor. Packing the transpose once per backward call
-/// (`O(rows · cols)`, the cost of the transpose it replaces) lets the gather
-/// compose both: work per timestep is `active density × weight density` of
-/// the dense product.
-///
-/// Layout is CSR over the *transposed* view: row `r` (an input feature for
-/// linear, a `(c, kh, kw)` kernel tap for conv) stores the ascending output
-/// indices `f` with `w[f, r] != 0.0` and the matching values. Walking a row
-/// ascending reproduces the exact accumulation order of the dense kernels'
-/// ascending-`f` loop with its `w == 0.0` skip, so the packing has no
-/// numeric effect.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedWt {
-    rows: usize,
-    cols: usize,
-    val: Vec<f32>,
-    idx: Vec<u32>,
-    row_ptr: Vec<u32>,
-}
-
-impl PackedWt {
-    /// Packs the transpose of a row-major `rows × cols` matrix `w` (so the
-    /// packed view is `cols × rows`): packed row `c` holds the non-zero
-    /// entries of column `c` of `w`, ascending in `r`.
-    pub fn from_row_major(w: &[f32], rows: usize, cols: usize) -> PackedWt {
-        debug_assert_eq!(w.len(), rows * cols);
-        debug_assert!(rows <= u32::MAX as usize, "row index overflows u32");
-        let nnz = w.iter().filter(|v| **v != 0.0).count();
-        let mut val = Vec::with_capacity(nnz);
-        let mut idx = Vec::with_capacity(nnz);
-        let mut row_ptr = Vec::with_capacity(cols + 1);
-        row_ptr.push(0u32);
-        for c in 0..cols {
-            for r in 0..rows {
-                let v = w[r * cols + c];
-                if v != 0.0 {
-                    val.push(v);
-                    idx.push(r as u32);
-                }
-            }
-            row_ptr.push(val.len() as u32);
-        }
-        PackedWt {
-            rows: cols,
-            cols: rows,
-            val,
-            idx,
-            row_ptr,
-        }
-    }
-
-    /// Packed (transposed-view) row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Packed (transposed-view) column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Stored non-zero entries.
-    pub fn nnz(&self) -> usize {
-        self.val.len()
-    }
-
-    /// The non-zero `(index, value)` run of packed row `r`, indices
-    /// ascending.
-    #[inline]
-    fn row(&self, r: usize) -> (&[u32], &[f32]) {
-        let span = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
-        (&self.idx[span.clone()], &self.val[span])
-    }
-}
-
 /// Linear input gradient restricted to the receiver's active set:
 /// `dx[s, c] += Σ_o gy[s, o] · W[o, c]` for every active column `c` of
 /// sample `s` only. `pwt` is the packed transposed weight
-/// ([`PackedWt::from_row_major`] of the `out × cols` weight); `dx` must be
-/// zeroed.
+/// ([`Csr::from_dense_transposed`] of the `out × cols` weight, so masked
+/// weights cost nothing and the gather composes weight density with
+/// activity); `dx` must be zeroed.
 ///
 /// Per computed element the reduction runs `o` ascending with the
 /// `gy == 0.0` skip of [`sp_gy_w`](crate::ops::spmm::sp_gy_w); masked
@@ -268,15 +102,15 @@ impl PackedWt {
 /// computed entries match the dense/pattern path bit-for-bit modulo `±0.0`
 /// (see the module docs). Threads over batch samples (disjoint `dx` rows)
 /// like the dense kernel.
-pub fn gather_gy_wt(ab: &GradActiveBatch, pwt: &PackedWt, gy: &[f32], dx: &mut [f32]) {
-    let cols = ab.cols;
+pub fn gather_gy_wt(ab: &Csr, pwt: &Csr<f32>, gy: &[f32], dx: &mut [f32]) {
+    let cols = ab.cols();
     let out_features = pwt.cols();
     debug_assert_eq!(pwt.rows(), cols);
-    debug_assert_eq!(gy.len(), ab.rows * out_features);
-    debug_assert_eq!(dx.len(), ab.rows * cols);
+    debug_assert_eq!(gy.len(), ab.rows() * out_features);
+    debug_assert_eq!(dx.len(), ab.rows() * cols);
     super::matmul::for_output_row_ranges(
         dx,
-        ab.rows,
+        ab.rows(),
         cols,
         ab.nnz() * out_features,
         |s0, count, dx_rows| {
@@ -284,7 +118,7 @@ pub fn gather_gy_wt(ab: &GradActiveBatch, pwt: &PackedWt, gy: &[f32], dx: &mut [
                 let gyrow = &gy[(s0 + s) * out_features..(s0 + s + 1) * out_features];
                 let dxrow = &mut dx_rows[s * cols..(s + 1) * cols];
                 for &c in ab.row(s0 + s) {
-                    let (os, wvs) = pwt.row(c as usize);
+                    let (os, wvs) = pwt.row_entries(c as usize);
                     let mut acc = 0.0f32;
                     for (&o, &wv) in os.iter().zip(wvs) {
                         let g = gyrow[o as usize];
@@ -315,7 +149,7 @@ pub fn gather_gy_wt(ab: &GradActiveBatch, pwt: &PackedWt, gy: &[f32], dx: &mut [
 /// layer calls it per sample from inside already-parallel block workers.
 #[allow(clippy::too_many_arguments)]
 pub fn gather_conv_dx(
-    pwt: &PackedWt,
+    pwt: &Csr<f32>,
     gyt: &[f32],
     need: &[u32],
     g: &Conv2dGeometry,
@@ -365,7 +199,7 @@ pub fn gather_conv_dx(
                     continue;
                 }
                 let r = (c * g.kernel_h + kh) * g.kernel_w + kw;
-                let (fs, wvs) = pwt.row(r);
+                let (fs, wvs) = pwt.row_entries(r);
                 let pos = oy * ow + ox;
                 let grow = &gyt[pos * f_out..(pos + 1) * f_out];
                 let mut acc = 0.0f32;
@@ -388,23 +222,12 @@ mod tests {
     use crate::parallel::run_serial;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn active_from_mask(rows: usize, cols: usize, keep: impl Fn(usize) -> bool) -> GradActiveBatch {
+    fn active_from_mask(rows: usize, cols: usize, keep: impl Fn(usize) -> bool) -> Csr {
         let flat: Vec<u32> = (0..rows * cols)
             .filter(|&i| keep(i))
             .map(|i| i as u32)
             .collect();
-        GradActiveBatch::from_flat_indices(rows, cols, flat)
-    }
-
-    #[test]
-    fn batch_mirrors_spike_batch_layout() {
-        let ab = GradActiveBatch::from_flat_indices(2, 3, vec![0, 3, 4]);
-        assert_eq!(ab.rows(), 2);
-        assert_eq!(ab.cols(), 3);
-        assert_eq!(ab.nnz(), 3);
-        assert_eq!(ab.row(0), &[0]);
-        assert_eq!(ab.row(1), &[0, 1]);
-        assert!((ab.density() - 0.5).abs() < 1e-12);
+        Csr::from_flat_indices(rows, cols, flat)
     }
 
     #[test]
@@ -432,7 +255,7 @@ mod tests {
         for v in gy.as_mut_slice().iter_mut().step_by(4) {
             *v = 0.0;
         }
-        let pwt = PackedWt::from_row_major(w.as_slice(), out, cols);
+        let pwt = Csr::from_dense_transposed(out, cols, w.as_slice());
         let ab = active_from_mask(b, cols, |_| true);
         let mut dx = vec![0.0f32; b * cols];
         gather_gy_wt(&ab, &pwt, gy.as_slice(), &mut dx);
@@ -446,7 +269,7 @@ mod tests {
         let (b, out, cols) = (4, 9, 21);
         let w = crate::init::uniform([out, cols], -1.0, 1.0, &mut rng);
         let gy = crate::init::uniform([b, out], -1.0, 1.0, &mut rng);
-        let pwt = PackedWt::from_row_major(w.as_slice(), out, cols);
+        let pwt = Csr::from_dense_transposed(out, cols, w.as_slice());
         let ab = active_from_mask(b, cols, |i| i % 3 == 1);
         let mut dx = vec![0.0f32; b * cols];
         gather_gy_wt(&ab, &pwt, gy.as_slice(), &mut dx);
@@ -475,7 +298,7 @@ mod tests {
         let want = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
 
         let (cr, spatial, f) = (g.col_rows(), oh * ow, g.out_channels);
-        let pwt = PackedWt::from_row_major(weight.as_slice(), f, cr);
+        let pwt = Csr::from_dense_transposed(f, cr, weight.as_slice());
         let in_stride = 3 * h * w;
         let mut dx = vec![0.0f32; b * in_stride];
         let need: Vec<u32> = (0..in_stride as u32).collect();
@@ -509,7 +332,7 @@ mod tests {
         let grad_out = crate::init::uniform([1, 3, oh, ow], -1.0, 1.0, &mut rng);
         let want = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
         let (cr, spatial, f) = (g.col_rows(), oh * ow, g.out_channels);
-        let pwt = PackedWt::from_row_major(weight.as_slice(), f, cr);
+        let pwt = Csr::from_dense_transposed(f, cr, weight.as_slice());
         let mut gyt = vec![0.0f32; spatial * f];
         transpose_into(grad_out.as_slice(), f, spatial, &mut gyt);
         let need: Vec<u32> = (0..(2 * h * w) as u32).collect();
@@ -529,7 +352,7 @@ mod tests {
         let grad_out = crate::init::uniform([1, 5, oh, ow], -1.0, 1.0, &mut rng);
         let want = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
         let (cr, spatial, f) = (g.col_rows(), oh * ow, g.out_channels);
-        let pwt = PackedWt::from_row_major(weight.as_slice(), f, cr);
+        let pwt = Csr::from_dense_transposed(f, cr, weight.as_slice());
         let mut gyt = vec![0.0f32; spatial * f];
         transpose_into(grad_out.as_slice(), f, spatial, &mut gyt);
         let in_elems = 3 * h * w;
@@ -551,7 +374,7 @@ mod tests {
         let (b, out, cols) = (64, 96, 512);
         let w = crate::init::uniform([out, cols], -1.0, 1.0, &mut rng);
         let gy = crate::init::uniform([b, out], -1.0, 1.0, &mut rng);
-        let pwt = PackedWt::from_row_major(w.as_slice(), out, cols);
+        let pwt = Csr::from_dense_transposed(out, cols, w.as_slice());
         let mut rng2 = StdRng::seed_from_u64(86);
         let mask: Vec<bool> = (0..b * cols).map(|_| rng2.gen_bool(0.2)).collect();
         let ab = active_from_mask(b, cols, |i| mask[i]);
@@ -584,21 +407,10 @@ mod tests {
     #[test]
     fn empty_need_set_leaves_dx_zero() {
         let g = Conv2dGeometry::square(1, 1, 3, 1, 1);
-        let pwt = PackedWt::from_row_major(&[1.0f32; 9], 1, 9);
+        let pwt = Csr::from_dense_transposed(1, 9, &[1.0f32; 9]);
         let gyt = vec![1.0f32; 16];
         let mut dx = vec![0.0f32; 16];
         gather_conv_dx(&pwt, &gyt, &[], &g, 4, 4, 4, 4, &mut dx);
         assert!(dx.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn packed_wt_compresses_masked_columns() {
-        // w (2 × 3): [[1, 0, 2], [0, 0, 3]] — packed view is 3 × 2.
-        let pwt = PackedWt::from_row_major(&[1.0, 0.0, 2.0, 0.0, 0.0, 3.0], 2, 3);
-        assert_eq!((pwt.rows(), pwt.cols()), (3, 2));
-        assert_eq!(pwt.nnz(), 3);
-        assert_eq!(pwt.row(0), (&[0u32][..], &[1.0f32][..]));
-        assert_eq!(pwt.row(1), (&[][..], &[][..]));
-        assert_eq!(pwt.row(2), (&[0u32, 1][..], &[2.0f32, 3.0][..]));
     }
 }

@@ -12,15 +12,15 @@
 //! `NDSNN_THREADS` setting by construction, not by accumulation-order
 //! discipline.
 //!
-//! The kernels here operate on raw CSR parts (`row_ptr`/`col_indices` as
-//! `u32`, values as `i8`, one f32 scale per row) so the artifact layer in
-//! `ndsnn-infer` can own the storage format while the arithmetic lives with
-//! the other kernels. Accumulator overflow is excluded by a compile-time
+//! The kernels here take the weight as a [`Csr<i8>`] plus one f32 scale per
+//! row, so the artifact layer in `ndsnn-infer` can own the storage format
+//! while the arithmetic lives with the other kernels. Accumulator overflow is excluded by a compile-time
 //! bound checked where weights are quantized: a row of `nnz` int8 terms is
 //! bounded by `nnz · 127`, and the quantizer refuses rows with more than
 //! [`MAX_QUANT_ROW_NNZ`] stored entries.
 
 use crate::ops::matmul::for_output_row_ranges;
+use crate::Csr;
 
 /// Maximum stored entries per quantized weight row: `2^24 · 127 < 2^31`, so
 /// an `i32` accumulator can never overflow even if every term saturates.
@@ -36,31 +36,19 @@ pub const MAX_QUANT_ROW_NNZ: usize = 1 << 24;
 /// Threads over batch samples on the same row partition as the f32 kernels
 /// ([`for_output_row_ranges`]); integer accumulation makes the result
 /// trivially thread-count invariant.
-#[allow(clippy::too_many_arguments)] // raw CSR parts + geometry
-pub fn csr_xwt_i8(
-    row_ptr: &[u32],
-    col_indices: &[u32],
-    q: &[i8],
-    scales: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-    batch: usize,
-    rows: usize,
-    cols: usize,
-) {
-    debug_assert_eq!(row_ptr.len(), rows + 1);
-    debug_assert_eq!(col_indices.len(), q.len());
+pub fn csr_xwt_i8(w: &Csr<i8>, scales: &[f32], x: &[f32], y: &mut [f32], batch: usize) {
+    let (rows, cols) = w.dims();
     debug_assert_eq!(scales.len(), rows);
     debug_assert_eq!(x.len(), batch * cols);
     debug_assert_eq!(y.len(), batch * rows);
-    for_output_row_ranges(y, batch, rows, batch * q.len(), |s0, count, y_rows| {
+    for_output_row_ranges(y, batch, rows, batch * w.nnz(), |s0, count, y_rows| {
         for s in 0..count {
             let xrow = &x[(s0 + s) * cols..(s0 + s + 1) * cols];
             let yrow = &mut y_rows[s * rows..(s + 1) * rows];
             for (r, yv) in yrow.iter_mut().enumerate() {
-                let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
+                let (cis, qs) = w.row_entries(r);
                 let mut acc = 0i32;
-                for (&ci, &qv) in col_indices[lo..hi].iter().zip(&q[lo..hi]) {
+                for (&ci, &qv) in cis.iter().zip(qs) {
                     if xrow[ci as usize] != 0.0 {
                         acc += i32::from(qv);
                     }
@@ -82,22 +70,13 @@ pub fn csr_xwt_i8(
 /// 1). Each stored weight entry is then *added* to the `i32` accumulator of
 /// every fired position in its column: no multiplies anywhere in the loop
 /// nest. Requantize the accumulators with [`requantize_rows`].
-pub fn csr_mm_packed_i8(
-    row_ptr: &[u32],
-    col_indices: &[u32],
-    q: &[i8],
-    ptr: &[u32],
-    pos: &[u32],
-    acc: &mut [i32],
-    n: usize,
-) {
-    let rows = row_ptr.len() - 1;
-    debug_assert_eq!(col_indices.len(), q.len());
-    debug_assert_eq!(acc.len(), rows * n);
-    for r in 0..rows {
+pub fn csr_mm_packed_i8(w: &Csr<i8>, ptr: &[u32], pos: &[u32], acc: &mut [i32], n: usize) {
+    debug_assert_eq!(ptr.len(), w.cols() + 1);
+    debug_assert_eq!(acc.len(), w.rows() * n);
+    for r in 0..w.rows() {
         let arow = &mut acc[r * n..(r + 1) * n];
-        let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-        for (&ci, &qv) in col_indices[lo..hi].iter().zip(&q[lo..hi]) {
+        let (cis, qs) = w.row_entries(r);
+        for (&ci, &qv) in cis.iter().zip(qs) {
             let qv = i32::from(qv);
             let (s, e) = (ptr[ci as usize] as usize, ptr[ci as usize + 1] as usize);
             for &p in &pos[s..e] {
@@ -107,7 +86,7 @@ pub fn csr_mm_packed_i8(
     }
 }
 
-/// `acc(rows × n) += W_q · 1[b ≠ 0](cols × n)` with `W_q` in int8 CSR parts
+/// `acc(rows × n) += W_q · 1[b ≠ 0](cols × n)` with `W_q` in int8 CSR
 /// and the activation as a *dense* f32 im2col buffer — the streaming twin
 /// of [`csr_mm_packed_i8`] for busy spike batches.
 ///
@@ -119,21 +98,13 @@ pub fn csr_mm_packed_i8(
 /// store-to-load dependencies. Integer accumulation is exact, so both
 /// kernels produce identical accumulators and dispatching between them is
 /// value-free.
-pub fn csr_mm_i8(
-    row_ptr: &[u32],
-    col_indices: &[u32],
-    q: &[i8],
-    b: &[f32],
-    acc: &mut [i32],
-    n: usize,
-) {
-    let rows = row_ptr.len() - 1;
-    debug_assert_eq!(col_indices.len(), q.len());
-    debug_assert_eq!(acc.len(), rows * n);
-    for r in 0..rows {
+pub fn csr_mm_i8(w: &Csr<i8>, b: &[f32], acc: &mut [i32], n: usize) {
+    debug_assert_eq!(b.len(), w.cols() * n);
+    debug_assert_eq!(acc.len(), w.rows() * n);
+    for r in 0..w.rows() {
         let arow = &mut acc[r * n..(r + 1) * n];
-        let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-        for (&ci, &qv) in col_indices[lo..hi].iter().zip(&q[lo..hi]) {
+        let (cis, qs) = w.row_entries(r);
+        for (&ci, &qv) in cis.iter().zip(qs) {
             let qv = i32::from(qv);
             let brow = &b[ci as usize * n..(ci as usize + 1) * n];
             for (a, &bv) in arow.iter_mut().zip(brow) {
@@ -196,13 +167,8 @@ mod tests {
         *seed >> 33
     }
 
-    /// Builds a sparse int8 matrix in both dense (i32) and CSR parts form.
-    #[allow(clippy::type_complexity)]
-    fn sparse_i8(
-        rows: usize,
-        cols: usize,
-        seed: &mut u64,
-    ) -> (Vec<i32>, Vec<u32>, Vec<u32>, Vec<i8>) {
+    /// Builds a sparse int8 matrix in both dense (i32) and CSR form.
+    fn sparse_i8(rows: usize, cols: usize, seed: &mut u64) -> (Vec<i32>, Csr<i8>) {
         let mut dense = vec![0i32; rows * cols];
         let mut row_ptr = vec![0u32];
         let mut col_indices = Vec::new();
@@ -218,31 +184,22 @@ mod tests {
             }
             row_ptr.push(q.len() as u32);
         }
-        (dense, row_ptr, col_indices, q)
+        let w = Csr::from_parts(rows, cols, row_ptr, col_indices, q).unwrap();
+        (dense, w)
     }
 
     #[test]
     fn xwt_i8_matches_dense_reference() {
         let (batch, rows, cols) = (3, 5, 17);
         let mut seed = 0xABCDu64;
-        let (dense, row_ptr, col_indices, q) = sparse_i8(rows, cols, &mut seed);
+        let (dense, w) = sparse_i8(rows, cols, &mut seed);
         let scales: Vec<f32> = (0..rows).map(|r| 0.01 + r as f32 * 0.003).collect();
         // Binary spikes at ~30% density.
         let x: Vec<f32> = (0..batch * cols)
             .map(|_| f32::from(u8::from(lcg(&mut seed) % 10 < 3)))
             .collect();
         let mut y = vec![0.0f32; batch * rows];
-        csr_xwt_i8(
-            &row_ptr,
-            &col_indices,
-            &q,
-            &scales,
-            &x,
-            &mut y,
-            batch,
-            rows,
-            cols,
-        );
+        csr_xwt_i8(&w, &scales, &x, &mut y, batch);
         let want = reference_xwt(&dense, &scales, &x, batch, rows, cols);
         for (a, b) in y.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -254,38 +211,16 @@ mod tests {
         use crate::parallel::{run_serial, set_thread_override};
         let (batch, rows, cols) = (8, 64, 600);
         let mut seed = 0xFEEDu64;
-        let (_, row_ptr, col_indices, q) = sparse_i8(rows, cols, &mut seed);
+        let (_, w) = sparse_i8(rows, cols, &mut seed);
         let scales: Vec<f32> = (0..rows).map(|r| 0.004 + r as f32 * 0.001).collect();
         let x: Vec<f32> = (0..batch * cols)
             .map(|_| f32::from(u8::from(lcg(&mut seed).is_multiple_of(4))))
             .collect();
         let mut y_serial = vec![0.0f32; batch * rows];
-        run_serial(|| {
-            csr_xwt_i8(
-                &row_ptr,
-                &col_indices,
-                &q,
-                &scales,
-                &x,
-                &mut y_serial,
-                batch,
-                rows,
-                cols,
-            )
-        });
+        run_serial(|| csr_xwt_i8(&w, &scales, &x, &mut y_serial, batch));
         set_thread_override(Some(4));
         let mut y_par = vec![0.0f32; batch * rows];
-        csr_xwt_i8(
-            &row_ptr,
-            &col_indices,
-            &q,
-            &scales,
-            &x,
-            &mut y_par,
-            batch,
-            rows,
-            cols,
-        );
+        csr_xwt_i8(&w, &scales, &x, &mut y_par, batch);
         set_thread_override(None);
         for (i, (a, b)) in y_par.iter().zip(&y_serial).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "thread divergence at {i}");
@@ -296,7 +231,7 @@ mod tests {
     fn packed_i8_matches_unpacked_gather() {
         let (rows, cols, n) = (6, 11, 13);
         let mut seed = 0xC0FFEEu64;
-        let (dense, row_ptr, col_indices, q) = sparse_i8(rows, cols, &mut seed);
+        let (dense, w) = sparse_i8(rows, cols, &mut seed);
         // Binary activation matrix b(cols × n) at a few densities, packed
         // row-wise exactly like im2col_packed output.
         for keep in [0, 1, 3, 10] {
@@ -313,7 +248,7 @@ mod tests {
                 ptr.push(pos.len() as u32);
             }
             let mut acc = vec![0i32; rows * n];
-            csr_mm_packed_i8(&row_ptr, &col_indices, &q, &ptr, &pos, &mut acc, n);
+            csr_mm_packed_i8(&w, &ptr, &pos, &mut acc, n);
             // Integer reference straight off the dense matrices.
             for r in 0..rows {
                 for j in 0..n {
@@ -347,7 +282,7 @@ mod tests {
     fn streaming_i8_matches_packed_accumulators() {
         let (rows, cols, n) = (7, 13, 19);
         let mut seed = 0xBEEF5EEDu64;
-        let (_, row_ptr, col_indices, q) = sparse_i8(rows, cols, &mut seed);
+        let (_, w) = sparse_i8(rows, cols, &mut seed);
         for keep in [0, 2, 5, 9] {
             let b: Vec<f32> = (0..cols * n)
                 .map(|_| f32::from(u8::from(keep > 0 && lcg(&mut seed) % 10 < keep)))
@@ -362,9 +297,9 @@ mod tests {
                 ptr.push(pos.len() as u32);
             }
             let mut acc_packed = vec![0i32; rows * n];
-            csr_mm_packed_i8(&row_ptr, &col_indices, &q, &ptr, &pos, &mut acc_packed, n);
+            csr_mm_packed_i8(&w, &ptr, &pos, &mut acc_packed, n);
             let mut acc_stream = vec![0i32; rows * n];
-            csr_mm_i8(&row_ptr, &col_indices, &q, &b, &mut acc_stream, n);
+            csr_mm_i8(&w, &b, &mut acc_stream, n);
             assert_eq!(acc_packed, acc_stream, "kernel divergence at keep={keep}");
         }
     }

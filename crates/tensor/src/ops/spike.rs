@@ -3,10 +3,9 @@
 //! LIF/PLIF layers emit tensors whose entries are *exactly* `0.0` or `1.0`.
 //! Downstream products therefore never need multiplies: a row of spikes
 //! selects a subset of weight columns, and the product is a gather-accumulate
-//! over the fired indices. [`SpikeBatch`] packs those fired indices per batch
-//! row (CSR layout without values, like
-//! [`RowPattern`](crate::ops::spmm::RowPattern) but over *activations* rather
-//! than weights), and the kernels here consume it.
+//! over the fired indices. An index-only [`Csr`] packs those fired indices per
+//! batch row (the same layout as a weight plan, but over *activations*), and
+//! the kernels here consume it.
 //!
 //! ## Bit-identity with the dense kernels
 //!
@@ -37,6 +36,7 @@
 //! scheme PR 1 uses for weight sparsity (`NDSNN_DENSITY_THRESHOLD`).
 
 use crate::scratch::ScratchPool;
+use crate::Csr;
 
 /// Default spike density below which layers dispatch through the gather
 /// kernels; at or above it they run the dense blocked kernels.
@@ -59,119 +59,6 @@ pub fn spike_density_threshold_from_env() -> f64 {
     )
 }
 
-/// Fired-index lists for one timestep of a spiking activation batch.
-///
-/// The tensor is viewed as `rows × cols` (batch samples × flattened
-/// per-sample features — a reshape, so a `(B, C, H, W)` spike map and its
-/// flattened form share one `SpikeBatch`). Per row, the indices of entries
-/// equal to `1.0` are stored ascending.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpikeBatch {
-    rows: usize,
-    cols: usize,
-    idx: Vec<u32>,
-    row_ptr: Vec<u32>,
-}
-
-impl SpikeBatch {
-    /// Builds a batch from *ascending* flat indices into the row-major
-    /// `rows × cols` tensor — the natural output of a kernel that walks the
-    /// activation buffer once (the LIF fused loop).
-    ///
-    /// # Panics
-    /// Debug-asserts that the indices are strictly ascending and in range.
-    pub fn from_flat_indices(rows: usize, cols: usize, flat: Vec<u32>) -> SpikeBatch {
-        debug_assert!(cols <= u32::MAX as usize, "column index overflows u32");
-        debug_assert!(
-            flat.windows(2).all(|w| w[0] < w[1]),
-            "indices not ascending"
-        );
-        debug_assert!(flat.last().is_none_or(|&i| (i as usize) < rows * cols));
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        let mut seen = 0usize;
-        let mut idx = flat;
-        for r in 0..rows {
-            let row_end = ((r + 1) * cols) as u64;
-            while seen < idx.len() && u64::from(idx[seen]) < row_end {
-                seen += 1;
-            }
-            row_ptr.push(seen as u32);
-        }
-        // Rebase global flat indices to per-row column indices.
-        for r in 0..rows {
-            let base = (r * cols) as u32;
-            for v in &mut idx[row_ptr[r] as usize..row_ptr[r + 1] as usize] {
-                *v -= base;
-            }
-        }
-        SpikeBatch {
-            rows,
-            cols,
-            idx,
-            row_ptr,
-        }
-    }
-
-    /// Scans a row-major `rows × cols` slice, packing the positions of `1.0`
-    /// entries. Returns `None` if any entry is neither `0.0` nor `1.0` — the
-    /// caller's binarity assumption failed and dense kernels must be used.
-    pub fn from_binary(rows: usize, cols: usize, data: &[f32]) -> Option<SpikeBatch> {
-        debug_assert_eq!(data.len(), rows * cols);
-        debug_assert!(cols <= u32::MAX as usize, "column index overflows u32");
-        let mut idx = Vec::new();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        for r in 0..rows {
-            for (c, &v) in data[r * cols..(r + 1) * cols].iter().enumerate() {
-                if v == 1.0 {
-                    idx.push(c as u32);
-                } else if v != 0.0 {
-                    return None;
-                }
-            }
-            row_ptr.push(idx.len() as u32);
-        }
-        Some(SpikeBatch {
-            rows,
-            cols,
-            idx,
-            row_ptr,
-        })
-    }
-
-    /// Batch rows (samples).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Flattened per-sample feature count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Total fired entries.
-    pub fn nnz(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Fired fraction in `[0, 1]` (the realized spike rate of this timestep).
-    pub fn density(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / total as f64
-        }
-    }
-
-    /// Ascending fired column indices of row `r`.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[u32] {
-        &self.idx[self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize]
-    }
-}
-
 /// `y(rows × out) += spikes(rows × cols) · Wᵀ` with `W` `out × cols` — the
 /// linear-layer forward as a gather over fired input columns.
 ///
@@ -180,13 +67,13 @@ impl SpikeBatch {
 /// in ascending-index order into a `+0.0`-seeded register, exactly the
 /// zero-skipped dense loop. Threads over batch rows like the dense kernel;
 /// per-row work is independent, so the split never changes results.
-pub fn gather_xwt(sb: &SpikeBatch, w: &[f32], y: &mut [f32], out_features: usize) {
-    let cols = sb.cols;
+pub fn gather_xwt(sb: &Csr, w: &[f32], y: &mut [f32], out_features: usize) {
+    let cols = sb.cols();
     debug_assert_eq!(w.len(), out_features * cols);
-    debug_assert_eq!(y.len(), sb.rows * out_features);
+    debug_assert_eq!(y.len(), sb.rows() * out_features);
     super::matmul::for_output_row_ranges(
         y,
-        sb.rows,
+        sb.rows(),
         out_features,
         sb.nnz() * out_features,
         |s0, count, y_rows| {
@@ -213,9 +100,9 @@ pub fn gather_xwt(sb: &SpikeBatch, w: &[f32], y: &mut [f32], out_features: usize
 /// then output rows with the same `gy == 0.0` skip, then fired columns
 /// ascending — each contributing `g · 1.0 == g`. Threads over `dW` rows
 /// (output features) like the dense kernel.
-pub fn gather_at_b(gy: &[f32], sb: &SpikeBatch, c: &mut [f32], out_features: usize) {
-    let cols = sb.cols;
-    debug_assert_eq!(gy.len(), sb.rows * out_features);
+pub fn gather_at_b(gy: &[f32], sb: &Csr, c: &mut [f32], out_features: usize) {
+    let cols = sb.cols();
+    debug_assert_eq!(gy.len(), sb.rows() * out_features);
     debug_assert_eq!(c.len(), out_features * cols);
     super::matmul::for_output_row_ranges(
         c,
@@ -223,7 +110,7 @@ pub fn gather_at_b(gy: &[f32], sb: &SpikeBatch, c: &mut [f32], out_features: usi
         cols,
         sb.nnz() * out_features,
         |i0, rows, c_rows| {
-            for p in 0..sb.rows {
+            for p in 0..sb.rows() {
                 let fired = sb.row(p);
                 if fired.is_empty() {
                     continue;
@@ -257,7 +144,7 @@ pub fn gather_at_b(gy: &[f32], sb: &SpikeBatch, c: &mut [f32], out_features: usi
 ///
 /// # Panics
 /// Debug-asserts `col` is binary; release builds treat any non-zero as fired
-/// (callers certify binarity via the incoming [`SpikeBatch`]).
+/// (callers certify binarity via the incoming spike [`Csr`]).
 pub fn gather_conv_fwd(
     w: &[f32],
     col: &[f32],
@@ -391,24 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_from_binary_packs_fired_positions() {
-        let data = [1.0, 0.0, 0.0, 1.0, 1.0, 0.0];
-        let sb = SpikeBatch::from_binary(2, 3, &data).unwrap();
-        assert_eq!(sb.rows(), 2);
-        assert_eq!(sb.cols(), 3);
-        assert_eq!(sb.nnz(), 3);
-        assert_eq!(sb.row(0), &[0]);
-        assert_eq!(sb.row(1), &[0, 1]);
-        assert!((sb.density() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_from_binary_rejects_non_binary() {
-        assert!(SpikeBatch::from_binary(1, 3, &[1.0, 0.5, 0.0]).is_none());
-        assert!(SpikeBatch::from_binary(1, 2, &[-1.0, 0.0]).is_none());
-    }
-
-    #[test]
     fn batch_from_flat_indices_matches_scan() {
         let mut rng = StdRng::seed_from_u64(70);
         let t = spike_tensor(5, 17, 0.3, &mut rng);
@@ -419,8 +288,8 @@ mod tests {
             .filter(|(_, &v)| v == 1.0)
             .map(|(i, _)| i as u32)
             .collect();
-        let a = SpikeBatch::from_flat_indices(5, 17, flat);
-        let b = SpikeBatch::from_binary(5, 17, t.as_slice()).unwrap();
+        let a = Csr::from_flat_indices(5, 17, flat);
+        let b = Csr::from_binary(5, 17, t.as_slice()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -430,7 +299,7 @@ mod tests {
         let w = crate::init::uniform([12, 33], -1.0, 1.0, &mut rng);
         for density in [0.0, 0.05, 0.5, 1.0] {
             let x = spike_tensor(7, 33, density, &mut rng);
-            let sb = SpikeBatch::from_binary(7, 33, x.as_slice()).unwrap();
+            let sb = Csr::from_binary(7, 33, x.as_slice()).unwrap();
             let dense = matmul_a_bt(&x, &w).unwrap();
             let mut y = vec![0.0f32; 7 * 12];
             gather_xwt(&sb, w.as_slice(), &mut y, 12);
@@ -448,7 +317,7 @@ mod tests {
         }
         for density in [0.0, 0.05, 0.5, 1.0] {
             let x = spike_tensor(9, 27, density, &mut rng);
-            let sb = SpikeBatch::from_binary(9, 27, x.as_slice()).unwrap();
+            let sb = Csr::from_binary(9, 27, x.as_slice()).unwrap();
             let dense = matmul_at_b(&gy, &x).unwrap();
             let mut c = vec![0.0f32; 14 * 27];
             gather_at_b(gy.as_slice(), &sb, &mut c, 14);
@@ -533,7 +402,7 @@ mod tests {
         // 96·512 spikes × 96 outputs clears PAR_MIN_MACS when dense; the
         // gather threads on its own nnz-based work estimate.
         let x = spike_tensor(96, 512, 0.3, &mut rng);
-        let sb = SpikeBatch::from_binary(96, 512, x.as_slice()).unwrap();
+        let sb = Csr::from_binary(96, 512, x.as_slice()).unwrap();
         let w = crate::init::uniform([96, 512], -1.0, 1.0, &mut rng);
         let gy = crate::init::uniform([96, 96], -1.0, 1.0, &mut rng);
 

@@ -3,8 +3,8 @@
 //! The NDSNN drop-and-grow schedule keeps masked weights exactly zero in the
 //! dense tensor, so a layer's sparsity is a property of its *mask*, not of
 //! the float values: the mask only changes every ΔT iterations while the
-//! active values change every optimizer step. [`RowPattern`] therefore packs
-//! only the active *indices* (CSR layout minus the value array); the kernels
+//! active values change every optimizer step. The plan is therefore an
+//! index-only [`Csr`] of the mask ([`Csr::from_mask`]); the kernels
 //! gather current values from the dense weight at use time. Packing is
 //! amortized across all the iterations between mask updates, and the kernels
 //! never read a stale weight.
@@ -13,87 +13,19 @@
 //! [`crate::ops::matmul`]; callers pass zeroed outputs for plain products.
 
 use crate::ops::matmul::for_output_row_ranges;
-
-/// The positions of active entries in a `rows × cols` masked matrix, in CSR
-/// index layout (`row_ptr` + `col_idx`, no values).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowPattern {
-    rows: usize,
-    cols: usize,
-    col_idx: Vec<u32>,
-    row_ptr: Vec<u32>,
-}
-
-impl RowPattern {
-    /// Packs the non-zero positions of a row-major `rows × cols` mask.
-    ///
-    /// Any non-zero mask entry is active (the mask convention is binary, but
-    /// this does not require it).
-    pub fn from_mask(rows: usize, cols: usize, mask: &[f32]) -> RowPattern {
-        assert_eq!(mask.len(), rows * cols, "mask length mismatch");
-        assert!(cols <= u32::MAX as usize, "column index overflows u32");
-        let mut col_idx = Vec::new();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        for r in 0..rows {
-            for (c, &m) in mask[r * cols..(r + 1) * cols].iter().enumerate() {
-                if m != 0.0 {
-                    col_idx.push(c as u32);
-                }
-            }
-            row_ptr.push(col_idx.len() as u32);
-        }
-        RowPattern {
-            rows,
-            cols,
-            col_idx,
-            row_ptr,
-        }
-    }
-
-    /// Number of active positions.
-    pub fn nnz(&self) -> usize {
-        self.col_idx.len()
-    }
-
-    /// Row count of the packed matrix.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count of the packed matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Fraction of active positions, in `[0, 1]`.
-    pub fn density(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / total as f64
-        }
-    }
-
-    /// Active column indices of row `r`.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[u32] {
-        &self.col_idx[self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize]
-    }
-}
+use crate::Csr;
 
 /// `out(rows × n) += W · b(cols × n)` where `W` is the dense `rows × cols`
 /// weight read through `pat`.
 ///
 /// Serial by design: the convolution layers call it per sample from inside
 /// already-parallel workers.
-pub fn sp_mm(pat: &RowPattern, w: &[f32], b: &[f32], out: &mut [f32], n: usize) {
-    debug_assert_eq!(w.len(), pat.rows * pat.cols);
-    debug_assert_eq!(b.len(), pat.cols * n);
-    debug_assert_eq!(out.len(), pat.rows * n);
-    for r in 0..pat.rows {
-        let wrow = &w[r * pat.cols..(r + 1) * pat.cols];
+pub fn sp_mm(pat: &Csr, w: &[f32], b: &[f32], out: &mut [f32], n: usize) {
+    debug_assert_eq!(w.len(), pat.rows() * pat.cols());
+    debug_assert_eq!(b.len(), pat.cols() * n);
+    debug_assert_eq!(out.len(), pat.rows() * n);
+    for r in 0..pat.rows() {
+        let wrow = &w[r * pat.cols()..(r + 1) * pat.cols()];
         let orow = &mut out[r * n..(r + 1) * n];
         for &ci in pat.row(r) {
             let wv = wrow[ci as usize];
@@ -111,12 +43,12 @@ pub fn sp_mm(pat: &RowPattern, w: &[f32], b: &[f32], out: &mut [f32], n: usize) 
 
 /// `out(cols × n) += Wᵀ · b(rows × n)` — the input-gradient product of a
 /// pattern-sparse weight. Serial, for the same reason as [`sp_mm`].
-pub fn sp_mm_t(pat: &RowPattern, w: &[f32], b: &[f32], out: &mut [f32], n: usize) {
-    debug_assert_eq!(w.len(), pat.rows * pat.cols);
-    debug_assert_eq!(b.len(), pat.rows * n);
-    debug_assert_eq!(out.len(), pat.cols * n);
-    for r in 0..pat.rows {
-        let wrow = &w[r * pat.cols..(r + 1) * pat.cols];
+pub fn sp_mm_t(pat: &Csr, w: &[f32], b: &[f32], out: &mut [f32], n: usize) {
+    debug_assert_eq!(w.len(), pat.rows() * pat.cols());
+    debug_assert_eq!(b.len(), pat.rows() * n);
+    debug_assert_eq!(out.len(), pat.cols() * n);
+    for r in 0..pat.rows() {
+        let wrow = &w[r * pat.cols()..(r + 1) * pat.cols()];
         let brow = &b[r * n..(r + 1) * n];
         for &ci in pat.row(r) {
             let wv = wrow[ci as usize];
@@ -138,21 +70,21 @@ pub fn sp_mm_t(pat: &RowPattern, w: &[f32], b: &[f32], out: &mut [f32], n: usize
 /// on an already-sparse weight); it is exact for the same reason as the
 /// dense-kernel zero-skips (see [`crate::ops::spike`]): the accumulator is
 /// `+0.0`-seeded, so dropped `±0.0` terms cannot change it.
-pub fn sp_xwt(pat: &RowPattern, w: &[f32], x: &[f32], y: &mut [f32], batch: usize) {
-    debug_assert_eq!(w.len(), pat.rows * pat.cols);
-    debug_assert_eq!(x.len(), batch * pat.cols);
-    debug_assert_eq!(y.len(), batch * pat.rows);
+pub fn sp_xwt(pat: &Csr, w: &[f32], x: &[f32], y: &mut [f32], batch: usize) {
+    debug_assert_eq!(w.len(), pat.rows() * pat.cols());
+    debug_assert_eq!(x.len(), batch * pat.cols());
+    debug_assert_eq!(y.len(), batch * pat.rows());
     for_output_row_ranges(
         y,
         batch,
-        pat.rows,
+        pat.rows(),
         batch * pat.nnz(),
         |s0, count, y_rows| {
             for s in 0..count {
-                let xrow = &x[(s0 + s) * pat.cols..(s0 + s + 1) * pat.cols];
-                let yrow = &mut y_rows[s * pat.rows..(s + 1) * pat.rows];
+                let xrow = &x[(s0 + s) * pat.cols()..(s0 + s + 1) * pat.cols()];
+                let yrow = &mut y_rows[s * pat.rows()..(s + 1) * pat.rows()];
                 for (r, yv) in yrow.iter_mut().enumerate() {
-                    let wrow = &w[r * pat.cols..(r + 1) * pat.cols];
+                    let wrow = &w[r * pat.cols()..(r + 1) * pat.cols()];
                     let mut acc = 0.0f32;
                     for &ci in pat.row(r) {
                         let xv = xrow[ci as usize];
@@ -173,24 +105,24 @@ pub fn sp_xwt(pat: &RowPattern, w: &[f32], x: &[f32], y: &mut [f32], batch: usiz
 ///
 /// The zero-skip on `gy` matters on the BPTT hot path, where the upstream
 /// gradient passes through spike surrogates and carries many exact zeros.
-pub fn sp_gy_w(pat: &RowPattern, w: &[f32], gy: &[f32], dx: &mut [f32], batch: usize) {
-    debug_assert_eq!(w.len(), pat.rows * pat.cols);
-    debug_assert_eq!(gy.len(), batch * pat.rows);
-    debug_assert_eq!(dx.len(), batch * pat.cols);
+pub fn sp_gy_w(pat: &Csr, w: &[f32], gy: &[f32], dx: &mut [f32], batch: usize) {
+    debug_assert_eq!(w.len(), pat.rows() * pat.cols());
+    debug_assert_eq!(gy.len(), batch * pat.rows());
+    debug_assert_eq!(dx.len(), batch * pat.cols());
     for_output_row_ranges(
         dx,
         batch,
-        pat.cols,
+        pat.cols(),
         batch * pat.nnz(),
         |s0, count, dx_rows| {
             for s in 0..count {
-                let gyrow = &gy[(s0 + s) * pat.rows..(s0 + s + 1) * pat.rows];
-                let dxrow = &mut dx_rows[s * pat.cols..(s + 1) * pat.cols];
+                let gyrow = &gy[(s0 + s) * pat.rows()..(s0 + s + 1) * pat.rows()];
+                let dxrow = &mut dx_rows[s * pat.cols()..(s + 1) * pat.cols()];
                 for (r, &g) in gyrow.iter().enumerate() {
                     if g == 0.0 {
                         continue;
                     }
-                    let wrow = &w[r * pat.cols..(r + 1) * pat.cols];
+                    let wrow = &w[r * pat.cols()..(r + 1) * pat.cols()];
                     for &ci in pat.row(r) {
                         dxrow[ci as usize] += g * wrow[ci as usize];
                     }
@@ -233,22 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn pattern_packs_nonzeros_per_row() {
-        let mask = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0];
-        let pat = RowPattern::from_mask(3, 3, &mask);
-        assert_eq!(pat.nnz(), 4);
-        assert_eq!(pat.row(0), &[0, 2]);
-        assert_eq!(pat.row(1), &[] as &[u32]);
-        assert_eq!(pat.row(2), &[1, 2]);
-        assert!((pat.density() - 4.0 / 9.0).abs() < 1e-12);
-        assert_eq!((pat.rows(), pat.cols()), (3, 3));
-    }
-
-    #[test]
     fn sp_mm_matches_dense_matmul() {
         let mut rng = StdRng::seed_from_u64(20);
         let (w, mask) = masked_weight(12, 30, 0.15, &mut rng);
-        let pat = RowPattern::from_mask(12, 30, mask.as_slice());
+        let pat = Csr::from_mask(12, 30, mask.as_slice());
         let b = crate::init::uniform([30, 17], -1.0, 1.0, &mut rng);
         let mut out = vec![0.0f32; 12 * 17];
         sp_mm(&pat, w.as_slice(), b.as_slice(), &mut out, 17);
@@ -260,7 +180,7 @@ mod tests {
     fn sp_mm_t_matches_dense_transpose_product() {
         let mut rng = StdRng::seed_from_u64(21);
         let (w, mask) = masked_weight(9, 25, 0.2, &mut rng);
-        let pat = RowPattern::from_mask(9, 25, mask.as_slice());
+        let pat = Csr::from_mask(9, 25, mask.as_slice());
         let b = crate::init::uniform([9, 13], -1.0, 1.0, &mut rng);
         let mut out = vec![0.0f32; 25 * 13];
         sp_mm_t(&pat, w.as_slice(), b.as_slice(), &mut out, 13);
@@ -272,7 +192,7 @@ mod tests {
     fn sp_xwt_matches_dense_linear_forward() {
         let mut rng = StdRng::seed_from_u64(22);
         let (w, mask) = masked_weight(20, 40, 0.1, &mut rng);
-        let pat = RowPattern::from_mask(20, 40, mask.as_slice());
+        let pat = Csr::from_mask(20, 40, mask.as_slice());
         let x = crate::init::uniform([7, 40], -1.0, 1.0, &mut rng);
         let mut y = vec![0.0f32; 7 * 20];
         sp_xwt(&pat, w.as_slice(), x.as_slice(), &mut y, 7);
@@ -284,7 +204,7 @@ mod tests {
     fn sp_gy_w_matches_dense_input_grad() {
         let mut rng = StdRng::seed_from_u64(23);
         let (w, mask) = masked_weight(16, 28, 0.12, &mut rng);
-        let pat = RowPattern::from_mask(16, 28, mask.as_slice());
+        let pat = Csr::from_mask(16, 28, mask.as_slice());
         let mut gy = crate::init::uniform([5, 16], -1.0, 1.0, &mut rng);
         // Exact zeros exercise the gy skip branch.
         for v in gy.as_mut_slice().iter_mut().step_by(4) {
@@ -303,7 +223,7 @@ mod tests {
         // effect without a repack.
         let mut w = Tensor::zeros([2, 3]);
         let mask = Tensor::from_vec([2, 3], vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0]).unwrap();
-        let pat = RowPattern::from_mask(2, 3, mask.as_slice());
+        let pat = Csr::from_mask(2, 3, mask.as_slice());
         assert_eq!(pat.nnz(), 2);
         let x = Tensor::ones([1, 3]);
         let mut y = vec![0.0f32; 2];

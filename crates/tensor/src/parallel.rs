@@ -95,40 +95,6 @@ pub fn worker_threads(jobs: usize) -> usize {
     hw.max(1).min(jobs.max(1))
 }
 
-/// How [`parallel_for_chunks`] distributes chunks across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// The persistent worker pool (default): parked threads, condvar wakeup,
-    /// no OS thread creation after warm-up.
-    Pool,
-    /// Legacy per-call `std::thread::scope` spawn/join — kept as the
-    /// reference dispatcher for the pool-overhead benchmarks and as a
-    /// fallback. Results are identical; only dispatch cost differs.
-    Scoped,
-}
-
-static DISPATCH_MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the dispatcher (process-wide). Benchmarks use this to A/B the
-/// persistent pool against the legacy scoped-spawn dispatch on the exact
-/// same kernels.
-pub fn set_dispatch_mode(mode: DispatchMode) {
-    DISPATCH_MODE.store(
-        match mode {
-            DispatchMode::Pool => 0,
-            DispatchMode::Scoped => 1,
-        },
-        Ordering::SeqCst,
-    );
-}
-
-fn dispatch_mode() -> DispatchMode {
-    match DISPATCH_MODE.load(Ordering::SeqCst) {
-        0 => DispatchMode::Pool,
-        _ => DispatchMode::Scoped,
-    }
-}
-
 /// Recovers a mutex guard even if a panicking worker poisoned it; the pool's
 /// protected state stays consistent because every critical section is
 /// panic-free (plain integer/Option updates).
@@ -153,38 +119,7 @@ where
         }
         return;
     }
-    match dispatch_mode() {
-        DispatchMode::Pool => pool().run(chunks, &f, workers - 1),
-        DispatchMode::Scoped => scoped_for_chunks(chunks, &f, workers),
-    }
-}
-
-/// The legacy dispatcher: spawns `workers` scoped threads per call.
-fn scoped_for_chunks<T: Send, F>(chunks: Vec<(usize, T)>, f: &F, workers: usize)
-where
-    F: Fn(usize, T) + Sync,
-{
-    let jobs: Vec<Mutex<Option<(usize, T)>>> =
-        chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let next = AtomicUsize::new(0);
-    let jobs = &jobs;
-    let next = &next;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || {
-                IN_PARALLEL_WORKER.with(|flag| flag.set(true));
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= jobs.len() {
-                        break;
-                    }
-                    if let Some((i, chunk)) = lock(&jobs[idx]).take() {
-                        f(i, chunk);
-                    }
-                }
-            });
-        }
-    });
+    pool().run(chunks, &f, workers - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -769,25 +704,6 @@ mod tests {
         });
         for (k, (a, b)) in pooled.iter().zip(&serial).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "element {k} diverged after panic");
-        }
-    }
-
-    #[test]
-    fn scoped_mode_still_works() {
-        let _g = override_guard();
-        set_dispatch_mode(DispatchMode::Scoped);
-        set_thread_override(Some(4));
-        let mut data = vec![0u32; 64];
-        let chunks: Vec<(usize, &mut [u32])> = data.chunks_mut(4).enumerate().collect();
-        parallel_for_chunks(chunks, |i, chunk| {
-            for v in chunk {
-                *v = i as u32;
-            }
-        });
-        set_thread_override(None);
-        set_dispatch_mode(DispatchMode::Pool);
-        for (i, block) in data.chunks(4).enumerate() {
-            assert!(block.iter().all(|&v| v == i as u32));
         }
     }
 

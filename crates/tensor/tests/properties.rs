@@ -230,7 +230,7 @@ proptest! {
         density_sel in 0usize..4,
         seed in 0u64..500,
     ) {
-        use ndsnn_tensor::ops::spike::{gather_xwt, SpikeBatch};
+        use ndsnn_tensor::ops::spike::gather_xwt;
         use ndsnn_tensor::parallel::run_serial;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let density = [0.0, 0.05, 0.5, 1.0][density_sel];
@@ -243,7 +243,7 @@ proptest! {
         )
         .unwrap();
         let w = ndsnn_tensor::init::uniform([out, cols], -1.0, 1.0, &mut rng);
-        let sb = SpikeBatch::from_binary(b, cols, spikes.as_slice()).unwrap();
+        let sb = ndsnn_tensor::Csr::from_binary(b, cols, spikes.as_slice()).unwrap();
         prop_assert_eq!(sb.nnz(), spikes.count_nonzero());
 
         let dense = matmul_a_bt(&spikes, &w).unwrap();
@@ -266,7 +266,7 @@ proptest! {
         density_sel in 0usize..4,
         seed in 0u64..500,
     ) {
-        use ndsnn_tensor::ops::spike::{gather_at_b, SpikeBatch};
+        use ndsnn_tensor::ops::spike::gather_at_b;
         use ndsnn_tensor::parallel::run_serial;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let density = [0.0, 0.05, 0.5, 1.0][density_sel];
@@ -279,7 +279,7 @@ proptest! {
         )
         .unwrap();
         let gy = ndsnn_tensor::init::uniform([b, out], -1.0, 1.0, &mut rng);
-        let sb = SpikeBatch::from_binary(b, cols, spikes.as_slice()).unwrap();
+        let sb = ndsnn_tensor::Csr::from_binary(b, cols, spikes.as_slice()).unwrap();
 
         let dense = matmul_at_b(&gy, &spikes).unwrap();
         let mut dw = vec![0.0f32; out * cols];
