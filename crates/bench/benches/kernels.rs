@@ -6,14 +6,36 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use ndsnn_snn::layers::{Layer, LifConfig, LifLayer};
 use ndsnn_sparse::kernels::{drop_by_magnitude, grow_by_gradient, random_mask};
 use ndsnn_tensor::ops::conv::{
-    conv2d_backward, conv2d_backward_exec, conv2d_forward, conv2d_forward_exec, Conv2dGeometry,
+    conv2d_backward, conv2d_forward, Conv2dGeometry, Conv2dGrads, ConvBackward, ConvKernel,
 };
 use ndsnn_tensor::ops::matmul::{matmul, matmul_a_bt};
 use ndsnn_tensor::ops::spmm::{sp_gy_w, sp_xwt};
+use ndsnn_tensor::ops::tile::NoEpilogue;
 use ndsnn_tensor::parallel::run_serial;
 use ndsnn_tensor::scratch::ScratchPool;
 use ndsnn_tensor::{Csr, Tensor};
 use rand::{rngs::StdRng, SeedableRng};
+
+fn conv_fwd(
+    x: &Tensor,
+    w: &Tensor,
+    g: &Conv2dGeometry,
+    kernel: ConvKernel,
+    pool: &ScratchPool,
+) -> Tensor {
+    conv2d_forward(x, w, g, kernel, &NoEpilogue, pool).unwrap()
+}
+
+fn conv_bwd(
+    x: &Tensor,
+    w: &Tensor,
+    gy: &Tensor,
+    g: &Conv2dGeometry,
+    d: &ConvBackward,
+    pool: &ScratchPool,
+) -> Conv2dGrads {
+    conv2d_backward(x, w, gy, g, d, pool).unwrap()
+}
 
 fn bench_lif(c: &mut Criterion) {
     let mut group = c.benchmark_group("lif");
@@ -48,13 +70,32 @@ fn bench_conv(c: &mut Criterion) {
     let g = Conv2dGeometry::square(16, 16, 3, 1, 1);
     let input = ndsnn_tensor::init::uniform([4, 16, 16, 16], 0.0, 1.0, &mut rng);
     let weight = ndsnn_tensor::init::uniform(g.weight_dims(), -0.2, 0.2, &mut rng);
+    let pool = ScratchPool::new();
+    let dense = ConvBackward::default();
     group.bench_function("forward_16c_16px_b4", |b| {
-        b.iter(|| conv2d_forward(black_box(&input), black_box(&weight), None, &g).unwrap())
+        b.iter(|| {
+            conv_fwd(
+                black_box(&input),
+                black_box(&weight),
+                &g,
+                ConvKernel::Dense,
+                &pool,
+            )
+        })
     });
-    let out = conv2d_forward(&input, &weight, None, &g).unwrap();
+    let out = conv_fwd(&input, &weight, &g, ConvKernel::Dense, &pool);
     let gy = Tensor::ones(out.shape().clone());
     group.bench_function("backward_16c_16px_b4", |b| {
-        b.iter(|| conv2d_backward(black_box(&input), black_box(&weight), &gy, &g).unwrap())
+        b.iter(|| {
+            conv_bwd(
+                black_box(&input),
+                black_box(&weight),
+                &gy,
+                &g,
+                &dense,
+                &pool,
+            )
+        })
     });
     group.finish();
 }
@@ -199,53 +240,39 @@ fn bench_exec_engine(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("conv_fwd_dense", &tag),
             &sparsity,
-            |b, _| {
-                b.iter(|| {
-                    conv2d_forward_exec(black_box(&input), &cw, None, &g, &pool, None, false)
-                        .unwrap()
-                })
-            },
+            |b, _| b.iter(|| conv_fwd(black_box(&input), &cw, &g, ConvKernel::Dense, &pool)),
         );
         group.bench_with_input(
             BenchmarkId::new("conv_fwd_sparse", &tag),
             &sparsity,
             |b, _| {
                 b.iter(|| {
-                    conv2d_forward_exec(black_box(&input), &cw, None, &g, &pool, Some(&cpat), false)
-                        .unwrap()
+                    conv_fwd(
+                        black_box(&input),
+                        &cw,
+                        &g,
+                        ConvKernel::WeightPlan(&cpat),
+                        &pool,
+                    )
                 })
             },
         );
-        let out = conv2d_forward(&input, &cw, None, &g).unwrap();
+        let out = conv_fwd(&input, &cw, &g, ConvKernel::Dense, &pool);
         let cgy = Tensor::ones(out.shape().clone());
+        let dense = ConvBackward::default();
+        let plan = ConvBackward {
+            weight_plan: Some(&cpat),
+            ..ConvBackward::default()
+        };
         group.bench_with_input(
             BenchmarkId::new("conv_bwd_dense", &tag),
             &sparsity,
-            |b, _| {
-                b.iter(|| {
-                    conv2d_backward_exec(black_box(&input), &cw, &cgy, &g, &pool, None, false, None)
-                        .unwrap()
-                })
-            },
+            |b, _| b.iter(|| conv_bwd(black_box(&input), &cw, &cgy, &g, &dense, &pool)),
         );
         group.bench_with_input(
             BenchmarkId::new("conv_bwd_sparse", &tag),
             &sparsity,
-            |b, _| {
-                b.iter(|| {
-                    conv2d_backward_exec(
-                        black_box(&input),
-                        &cw,
-                        &cgy,
-                        &g,
-                        &pool,
-                        Some(&cpat),
-                        false,
-                        None,
-                    )
-                    .unwrap()
-                })
-            },
+            |b, _| b.iter(|| conv_bwd(black_box(&input), &cw, &cgy, &g, &plan, &pool)),
         );
     }
     group.finish();
@@ -271,13 +298,15 @@ fn bench_threading(c: &mut Criterion) {
     let g = Conv2dGeometry::square(16, 16, 3, 1, 1);
     let input = ndsnn_tensor::init::uniform([8, 16, 16, 16], 0.0, 1.0, &mut rng);
     let weight = ndsnn_tensor::init::uniform(g.weight_dims(), -0.2, 0.2, &mut rng);
-    let out = conv2d_forward(&input, &weight, None, &g).unwrap();
+    let pool = ScratchPool::new();
+    let dense = ConvBackward::default();
+    let out = conv_fwd(&input, &weight, &g, ConvKernel::Dense, &pool);
     let gy = Tensor::ones(out.shape().clone());
     group.bench_function("conv_bwd_serial", |b| {
-        b.iter(|| run_serial(|| conv2d_backward(black_box(&input), &weight, &gy, &g).unwrap()))
+        b.iter(|| run_serial(|| conv_bwd(black_box(&input), &weight, &gy, &g, &dense, &pool)))
     });
     group.bench_function("conv_bwd_threaded", |b| {
-        b.iter(|| conv2d_backward(black_box(&input), &weight, &gy, &g).unwrap())
+        b.iter(|| conv_bwd(black_box(&input), &weight, &gy, &g, &dense, &pool))
     });
     group.finish();
 }

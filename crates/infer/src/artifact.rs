@@ -354,10 +354,22 @@ fn encode_bias(w: &mut BlobWriter, bias: &Option<Tensor>) {
     }
 }
 
-fn decode_bias(r: &mut BlobReader<'_>) -> Result<Option<Tensor>> {
+/// Decodes an optional bias of `width` elements (the op's output features or
+/// channels). The executor adds it per output row, so any other length
+/// would index past its end or silently drop entries.
+fn decode_bias(r: &mut BlobReader<'_>, width: usize) -> Result<Option<Tensor>> {
     match r.get_u8().map_err(bad)? {
         0 => Ok(None),
-        1 => Ok(Some(r.get_tensor().map_err(bad)?)),
+        1 => {
+            let bias = r.get_tensor().map_err(bad)?;
+            if bias.len() != width {
+                return Err(bad(format!(
+                    "bias of length {} for {width} outputs",
+                    bias.len()
+                )));
+            }
+            Ok(Some(bias))
+        }
         k => Err(bad(format!("bad bias flag {k}"))),
     }
 }
@@ -470,13 +482,16 @@ fn decode_op(r: &mut BlobReader<'_>, depth: usize, quant_ok: bool) -> Result<Op>
     let code = r.get_u8().map_err(bad)?;
     let name = r.get_str().map_err(bad)?;
     Ok(match code {
-        0 => Op::Linear {
-            name,
-            out_features: r.get_usize().map_err(bad)?,
-            in_features: r.get_usize().map_err(bad)?,
-            weight: decode_store(r, quant_ok)?,
-            bias: decode_bias(r)?,
-        },
+        0 => {
+            let out_features = r.get_usize().map_err(bad)?;
+            Op::Linear {
+                name,
+                out_features,
+                in_features: r.get_usize().map_err(bad)?,
+                weight: decode_store(r, quant_ok)?,
+                bias: decode_bias(r, out_features)?,
+            }
+        }
         1 => {
             let in_channels = r.get_usize().map_err(bad)?;
             let out_channels = r.get_usize().map_err(bad)?;
@@ -495,7 +510,7 @@ fn decode_op(r: &mut BlobReader<'_>, depth: usize, quant_ok: bool) -> Result<Op>
                     padding,
                 },
                 weight: decode_store(r, quant_ok)?,
-                bias: decode_bias(r)?,
+                bias: decode_bias(r, out_channels)?,
             }
         }
         2 => Op::Affine {

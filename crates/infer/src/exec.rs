@@ -18,22 +18,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ndsnn_sparse::csr::{csr_mm, csr_mm_packed, csr_xwt};
-use ndsnn_tensor::ops::conv::{
-    conv2d_forward_pooled, conv2d_forward_with_epilogue, im2col, im2col_packed, Conv2dGeometry,
-};
+use ndsnn_tensor::ops::conv::{conv2d_forward, im2col, im2col_packed, Conv2dGeometry, ConvKernel};
 use ndsnn_tensor::ops::matmul::matmul_a_bt;
 use ndsnn_tensor::ops::pool::{
     avg_pool2d_forward, global_avg_pool, max_pool2d_forward, Pool2dGeometry,
 };
 use ndsnn_tensor::ops::quant::{csr_mm_i8, csr_mm_packed_i8, csr_xwt_i8, requantize_rows};
-use ndsnn_tensor::ops::tile::{AffineLifRow, AffineRow, NoEpilogue, TileEpilogue};
+use ndsnn_tensor::ops::tile::{AffineLifRow, AffineRow, BiasRow, NoEpilogue, TileEpilogue};
 use ndsnn_tensor::parallel::parallel_for_chunks;
 use ndsnn_tensor::scratch::ScratchPool;
-use ndsnn_tensor::{Csr, Tensor};
+use ndsnn_tensor::Tensor;
 
 use crate::artifact::{Artifact, Op, WeightStore};
 use crate::error::{InferError, Result};
-use crate::quant::QuantWeight;
 
 /// Membrane state of one frozen LIF layer.
 ///
@@ -374,9 +371,9 @@ impl Executor {
                             affine: affine_epi,
                             v_threshold,
                         };
-                        self.fused_conv(name, weight, geometry, &x, &epi)?
+                        self.run_conv(name, weight, geometry, &x, &epi)?
                     }
-                    None => self.fused_conv(name, weight, geometry, &x, &affine_epi)?,
+                    None => self.run_conv(name, weight, geometry, &x, &affine_epi)?,
                 };
                 if lif.is_some() {
                     // The fused threshold consumed the LIF's slot for this
@@ -386,22 +383,6 @@ impl Executor {
                 self.ns[idx] += start.elapsed().as_nanos() as u64;
                 Ok(out)
             }
-        }
-    }
-
-    fn fused_conv<E: TileEpilogue>(
-        &self,
-        name: &str,
-        weight: &WeightStore,
-        g: &Conv2dGeometry,
-        x: &Tensor,
-        epi: &E,
-    ) -> Result<Tensor> {
-        match weight {
-            WeightStore::Dense(w) => conv2d_forward_with_epilogue(x, w, g, epi, &self.pool)
-                .map_err(|e| exec_err(format!("{name}: {e}"))),
-            WeightStore::Csr(m) => self.run_conv_csr(name, m, None, g, x, epi),
-            WeightStore::QuantCsr(q) => self.run_conv_quant(name, q, None, g, x, epi),
         }
     }
 
@@ -422,17 +403,9 @@ impl Executor {
                 geometry,
                 weight,
                 bias,
-            } => match weight {
-                WeightStore::Dense(w) => {
-                    conv2d_forward_pooled(&x, w, bias.as_ref(), geometry, &self.pool)
-                        .map_err(|e| exec_err(format!("{name}: {e}")))?
-                }
-                WeightStore::Csr(m) => {
-                    self.run_conv_csr(name, m, bias.as_ref(), geometry, &x, &NoEpilogue)?
-                }
-                WeightStore::QuantCsr(q) => {
-                    self.run_conv_quant(name, q, bias.as_ref(), geometry, &x, &NoEpilogue)?
-                }
+            } => match bias {
+                Some(b) => self.run_conv(name, weight, geometry, &x, &BiasRow(b.as_slice()))?,
+                None => self.run_conv(name, weight, geometry, &x, &NoEpilogue)?,
             },
             Op::Affine {
                 name,
@@ -559,124 +532,73 @@ impl Executor {
         Ok(y)
     }
 
-    /// CSR convolution: the same sample-parallel im2col structure as the
-    /// dense kernel (`conv2d_forward_exec`), with the inner product done by
-    /// `csr_mm` over packed filter rows. Accumulation order per output
-    /// element matches the dense loop, so results are bit-identical.
-    ///
-    /// `epi` runs per output-channel row after the kernel — including on
-    /// samples that fired nothing, whose chunk is still `+0.0`-seeded (the
-    /// epilogue transform of zero is not generally zero). Unfused callers
-    /// pass `NoEpilogue` and keep the separate bias pass below.
-    fn run_conv_csr<E: TileEpilogue>(
+    /// Runs one convolution with `epi` applied after each output element's
+    /// full accumulation: the unfused `Conv2d` op passes its bias
+    /// ([`BiasRow`], or [`NoEpilogue`]), a fused block its affine and
+    /// threshold.
+    fn run_conv(
         &self,
         name: &str,
-        w: &Csr<f32>,
-        bias: Option<&Tensor>,
+        weight: &WeightStore,
         g: &Conv2dGeometry,
-        input: &Tensor,
-        epi: &E,
+        x: &Tensor,
+        epi: &impl TileEpilogue,
     ) -> Result<Tensor> {
-        if input.rank() != 4 || input.dims()[1] != g.in_channels {
-            return Err(exec_err(format!(
-                "{name}: input {:?} does not match conv geometry",
-                input.dims()
-            )));
-        }
-        let d = input.dims();
-        let (b, h, iw) = (d[0], d[2], d[3]);
-        let (oh, ow) = g
-            .output_hw(h, iw)
-            .map_err(|e| exec_err(format!("{name}: {e}")))?;
-        let spatial = oh * ow;
-        let filters = g.out_channels;
-        let cr = g.col_rows();
-        if w.dims() != (filters, cr) {
-            return Err(exec_err(format!(
-                "{name}: CSR weight {:?} does not match geometry ({filters}, {cr})",
-                w.dims()
-            )));
-        }
-        let mut out = Tensor::zeros([b, filters, oh, ow]);
-        let in_data = input.as_slice();
-        let in_stride = g.in_channels * h * iw;
-        let out_stride = filters * spatial;
         let pool = &self.pool;
-        let chunks: Vec<_> = out
-            .as_mut_slice()
-            .chunks_mut(out_stride.max(1))
-            .enumerate()
-            .collect();
-        parallel_for_chunks(chunks, |s, out_chunk| {
-            let sample = &in_data[s * in_stride..(s + 1) * in_stride];
-            // Spiking inputs are mostly zeros: pack the non-zero pixels
-            // directly (never materializing the dense im2col buffer) and run
-            // the doubly-sparse kernel over them, on top of the CSR weight
-            // holes. A sample that fired nothing contributes nothing — the
-            // output chunk stays `+0.0`-seeded exactly as the dense kernel
-            // would leave it, bias lands below. Dense inputs (the first conv
-            // sees raw images) keep the im2col + streaming kernel. The
-            // choice is a pure dispatch heuristic: all paths bit-identical.
-            let nonzero = sample.iter().filter(|v| **v != 0.0).count();
-            if nonzero > 0 {
-                if (nonzero as f64) < GATHER_DENSITY_CUTOFF * sample.len() as f64 {
-                    let mut ptr = pool.take_u32();
-                    let mut pos = pool.take_u32();
-                    let mut vals = pool.take(0);
-                    im2col_packed(
-                        sample, g, h, iw, oh, ow, &mut ptr, &mut pos, &mut vals, pool,
-                    );
-                    csr_mm_packed(w, &ptr, &pos, &vals, out_chunk, spatial);
-                    pool.give_u32(ptr);
-                    pool.give_u32(pos);
-                    pool.give(vals);
-                } else {
-                    let mut col = pool.take(cr * spatial);
-                    im2col(sample, g, h, iw, oh, ow, &mut col);
-                    csr_mm(w, &col, out_chunk, spatial);
-                    pool.give(col);
-                }
+        match weight {
+            WeightStore::Dense(w) => conv2d_forward(x, w, g, ConvKernel::Dense, epi, pool)
+                .map_err(|e| exec_err(format!("{name}: {e}"))),
+            WeightStore::Csr(m) => {
+                self.run_conv_sparse(name, m.dims(), g, x, epi, |cols, out, n| match cols {
+                    SampleCols::Packed { ptr, pos, vals } => {
+                        csr_mm_packed(m, ptr, pos, vals, out, n)
+                    }
+                    SampleCols::Dense(col) => csr_mm(m, col, out, n),
+                })
             }
-            if !epi.is_noop() {
-                for f in 0..filters {
-                    epi.apply(f, 0, &mut out_chunk[f * spatial..(f + 1) * spatial]);
-                }
-            }
-        });
-        if let Some(bias) = bias {
-            let od = out.as_mut_slice();
-            for s in 0..b {
-                for (f, &bv) in bias.as_slice().iter().enumerate() {
-                    let base = s * out_stride + f * spatial;
-                    od[base..base + spatial].iter_mut().for_each(|v| *v += bv);
-                }
+            // Multiply-free: binary spikes accumulate raw i8 weights into
+            // `i32`, then one f32 requantize multiply per output element.
+            // Integer accumulation is exact and order-free, so both kernels
+            // give identical accumulators.
+            WeightStore::QuantCsr(q) => {
+                self.run_conv_sparse(name, q.csr().dims(), g, x, epi, |cols, out, n| {
+                    let mut acc = pool.take_i32_zeroed(out.len());
+                    match cols {
+                        SampleCols::Packed { ptr, pos, .. } => {
+                            csr_mm_packed_i8(q.csr(), ptr, pos, &mut acc, n)
+                        }
+                        SampleCols::Dense(col) => csr_mm_i8(q.csr(), col, &mut acc, n),
+                    }
+                    requantize_rows(&acc, q.scales(), out, n);
+                    pool.give_i32(acc);
+                })
             }
         }
-        Ok(out)
     }
 
-    /// Quantized convolution: per-sample binary spike inputs accumulate into
-    /// `i32`, then one f32 requantize multiply per output element at the
-    /// epilogue — the multiply-free NDINF2 hot path.
+    /// Shared loop of the CSR and int8 convolutions: the dense kernel's
+    /// sample-parallel structure, with `kernel(cols, out_chunk, spatial)`
+    /// accumulating one sample into its `+0.0`-seeded output chunk in the
+    /// dense accumulation order, so results are bit-identical to it.
     ///
-    /// Quiet samples (below [`GATHER_DENSITY_CUTOFF`]) take the packed
-    /// gather (`im2col_packed` + `csr_mm_packed_i8`); busy samples take the
-    /// streaming masked-add kernel (`im2col` + `csr_mm_i8`), whose
-    /// contiguous accesses vectorize where the gather's scattered
-    /// read-modify-writes serialize. Integer accumulation is exact and
-    /// order-free, so the dispatch is value-free — both kernels produce
-    /// bit-identical accumulators at any thread count. A sample that fired
-    /// nothing skips both kernels — its accumulators are all zero and the
-    /// `+0.0`-seeded output chunk already equals their requantization — but
-    /// the epilogue still applies (the affine of zero is not zero).
-    fn run_conv_quant<E: TileEpilogue>(
+    /// Spiking inputs are mostly zeros: a quiet sample (below
+    /// [`GATHER_DENSITY_CUTOFF`]) packs its non-zero pixels directly
+    /// ([`im2col_packed`], never materializing the dense im2col buffer) for
+    /// a gather kernel; a busy one (the first conv sees raw images) takes
+    /// [`im2col`] and a streaming kernel, whose contiguous accesses
+    /// vectorize where the gather's scattered read-modify-writes serialize.
+    /// The choice is a pure dispatch heuristic. A sample that fired nothing
+    /// skips the kernel — its chunk already holds the dense result — but
+    /// `epi` still runs per output-channel row of every sample (the affine
+    /// of zero is not zero).
+    fn run_conv_sparse(
         &self,
         name: &str,
-        q: &QuantWeight,
-        bias: Option<&Tensor>,
+        wdims: (usize, usize),
         g: &Conv2dGeometry,
         input: &Tensor,
-        epi: &E,
+        epi: &impl TileEpilogue,
+        kernel: impl Fn(SampleCols<'_>, &mut [f32], usize) + Sync,
     ) -> Result<Tensor> {
         if input.rank() != 4 || input.dims()[1] != g.in_channels {
             return Err(exec_err(format!(
@@ -690,29 +612,26 @@ impl Executor {
             .output_hw(h, iw)
             .map_err(|e| exec_err(format!("{name}: {e}")))?;
         let spatial = oh * ow;
-        let filters = g.out_channels;
         let cr = g.col_rows();
-        if q.csr().dims() != (filters, cr) {
+        if wdims != (g.out_channels, cr) {
             return Err(exec_err(format!(
-                "{name}: quant weight {:?} does not match geometry ({filters}, {cr})",
-                q.csr().dims()
+                "{name}: sparse weight {wdims:?} does not match geometry ({}, {cr})",
+                g.out_channels
             )));
         }
-        let mut out = Tensor::zeros([b, filters, oh, ow]);
+        let mut out = Tensor::zeros([b, g.out_channels, oh, ow]);
         let in_data = input.as_slice();
         let in_stride = g.in_channels * h * iw;
-        let out_stride = filters * spatial;
         let pool = &self.pool;
         let chunks: Vec<_> = out
             .as_mut_slice()
-            .chunks_mut(out_stride.max(1))
+            .chunks_mut((g.out_channels * spatial).max(1))
             .enumerate()
             .collect();
         parallel_for_chunks(chunks, |s, out_chunk| {
             let sample = &in_data[s * in_stride..(s + 1) * in_stride];
             let nonzero = sample.iter().filter(|v| **v != 0.0).count();
             if nonzero > 0 {
-                let mut acc = pool.take_i32_zeroed(out_stride);
                 if (nonzero as f64) < GATHER_DENSITY_CUTOFF * sample.len() as f64 {
                     let mut ptr = pool.take_u32();
                     let mut pos = pool.take_u32();
@@ -720,36 +639,43 @@ impl Executor {
                     im2col_packed(
                         sample, g, h, iw, oh, ow, &mut ptr, &mut pos, &mut vals, pool,
                     );
-                    csr_mm_packed_i8(q.csr(), &ptr, &pos, &mut acc, spatial);
+                    let cols = SampleCols::Packed {
+                        ptr: &ptr,
+                        pos: &pos,
+                        vals: &vals,
+                    };
+                    kernel(cols, out_chunk, spatial);
                     pool.give_u32(ptr);
                     pool.give_u32(pos);
                     pool.give(vals);
                 } else {
                     let mut col = pool.take(cr * spatial);
                     im2col(sample, g, h, iw, oh, ow, &mut col);
-                    csr_mm_i8(q.csr(), &col, &mut acc, spatial);
+                    kernel(SampleCols::Dense(&col), out_chunk, spatial);
                     pool.give(col);
                 }
-                requantize_rows(&acc, q.scales(), out_chunk, spatial);
-                pool.give_i32(acc);
             }
             if !epi.is_noop() {
-                for f in 0..filters {
-                    epi.apply(f, 0, &mut out_chunk[f * spatial..(f + 1) * spatial]);
+                for (f, row) in out_chunk.chunks_mut(spatial).enumerate() {
+                    epi.apply(f, 0, row);
                 }
             }
         });
-        if let Some(bias) = bias {
-            let od = out.as_mut_slice();
-            for s in 0..b {
-                for (f, &bv) in bias.as_slice().iter().enumerate() {
-                    let base = s * out_stride + f * spatial;
-                    od[base..base + spatial].iter_mut().for_each(|v| *v += bv);
-                }
-            }
-        }
         Ok(out)
     }
+}
+
+/// One sample's im2col matrix as a sparse conv kernel reads it.
+enum SampleCols<'a> {
+    /// Row-compressed non-zeros from [`im2col_packed`]: row `r` spans
+    /// `pos[ptr[r]..ptr[r + 1]]` and the matching `vals`.
+    Packed {
+        ptr: &'a [u32],
+        pos: &'a [u32],
+        vals: &'a [f32],
+    },
+    /// The dense `(C·KH·KW) × (OH·OW)` buffer from [`im2col`].
+    Dense(&'a [f32]),
 }
 
 /// Frozen BatchNorm epilogue: per channel `out = γ·(x − μ)·inv_std + β`,
@@ -833,6 +759,7 @@ fn run_lif(
 mod tests {
     use super::*;
     use crate::artifact::Manifest;
+    use ndsnn_tensor::Csr;
 
     fn manifest(timesteps: usize, in_channels: usize, image_size: usize) -> Manifest {
         Manifest {

@@ -410,3 +410,75 @@ fn quant_grid_overflow_is_rejected() {
     })
     .is_err());
 }
+
+// ---- Bias lengths ------------------------------------------------------
+
+/// A bias must have one entry per output feature or channel. A short conv
+/// bias made the fused conv + affine epilogue index past its end inside
+/// `Executor::forward`; a long one, or a linear bias of any wrong length,
+/// ran silently. Decode rejects all of them.
+#[test]
+fn bias_length_mismatch_is_rejected() {
+    use ndsnn_tensor::ops::conv::Conv2dGeometry;
+    let manifest = Manifest {
+        arch: "bias".to_string(),
+        timesteps: 1,
+        in_channels: 1,
+        image_size: 2,
+        num_classes: 2,
+        mask_digest: 0,
+        config_json: "{}".to_string(),
+        densities: vec![],
+    };
+    let conv = |bias_len: usize| {
+        vec![
+            Op::Conv2d {
+                name: "conv".to_string(),
+                geometry: Conv2dGeometry::square(1, 2, 1, 1, 0),
+                weight: WeightStore::Dense(Tensor::ones([2, 1, 1, 1])),
+                bias: Some(Tensor::ones([bias_len])),
+            },
+            Op::Affine {
+                name: "bn".to_string(),
+                mean: vec![0.0; 2],
+                inv_std: vec![1.0; 2],
+                gamma: vec![1.0; 2],
+                beta: vec![0.0; 2],
+            },
+            Op::GlobalAvgPool {
+                name: "gap".to_string(),
+            },
+        ]
+    };
+    let linear = |bias_len: usize| {
+        vec![
+            Op::Flatten {
+                name: "f".to_string(),
+            },
+            Op::Linear {
+                name: "fc".to_string(),
+                out_features: 2,
+                in_features: 4,
+                weight: WeightStore::Dense(Tensor::ones([2, 4])),
+                bias: Some(Tensor::ones([bias_len])),
+            },
+        ]
+    };
+    let images = Tensor::ones([1, 1, 2, 2]);
+    for ops in [conv(2), linear(2)] {
+        let art = Artifact {
+            manifest: manifest.clone(),
+            ops,
+        };
+        let back = Artifact::decode(&art.encode()).expect("matching bias decodes");
+        Executor::new(Arc::new(back)).forward(&images).unwrap();
+    }
+    for ops in [conv(1), conv(3), linear(1), linear(3)] {
+        let art = Artifact {
+            manifest: manifest.clone(),
+            ops,
+        };
+        let err = Artifact::decode(&art.encode()).unwrap_err();
+        assert!(err.to_string().contains("bias"), "{err}");
+    }
+}

@@ -1,8 +1,11 @@
 //! Spiking 2-D convolution layer.
 
-use ndsnn_tensor::ops::conv::{conv2d_backward_exec, conv2d_forward_exec, Conv2dGeometry};
+use ndsnn_tensor::ops::conv::{
+    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvKernel,
+};
 use ndsnn_tensor::ops::grad::grad_density_threshold_from_env;
 use ndsnn_tensor::ops::spike::spike_density_threshold_from_env;
+use ndsnn_tensor::ops::tile::{BiasRow, NoEpilogue};
 use ndsnn_tensor::scratch::ScratchPool;
 use ndsnn_tensor::{Csr, Tensor};
 use rand::Rng;
@@ -123,21 +126,22 @@ impl Conv2d {
             self.exec.elems += (sb.rows() * sb.cols()) as u64;
             gather = sb.density() < self.spike_threshold;
         }
-        // An installed weight plan takes priority inside the exec kernel (at
-        // the engine's target weight sparsity sp_mm touches fewer terms than
-        // a spike gather at threshold density).
+        // An installed weight plan takes priority over a spike gather (at the
+        // engine's target weight sparsity sp_mm touches fewer terms than a
+        // spike gather at threshold density).
         let t0 = Instant::now();
         let pattern = self.weight.exec_pattern()?;
         let routed_gather = gather && pattern.is_none();
-        let out = conv2d_forward_exec(
-            input,
-            &self.weight.value,
-            self.bias.as_ref().map(|b| &b.value),
-            &self.geometry,
-            &self.scratch,
-            pattern,
-            gather,
-        )?;
+        let kernel = match pattern {
+            Some(pat) => ConvKernel::WeightPlan(pat),
+            None if gather => ConvKernel::SpikeGather,
+            None => ConvKernel::Dense,
+        };
+        let (w, g, pool) = (&self.weight.value, &self.geometry, &self.scratch);
+        let out = match &self.bias {
+            Some(b) => conv2d_forward(input, w, g, kernel, &BiasRow(b.value.as_slice()), pool)?,
+            None => conv2d_forward(input, w, g, kernel, &NoEpilogue, pool)?,
+        };
         if routed_gather {
             self.exec.kernel_ns += t0.elapsed().as_nanos() as u64;
             self.exec.gather_steps += 1;
@@ -214,16 +218,19 @@ impl Layer for Conv2d {
             ));
         }
         let active = active.map(|ab| (ab, self.packed_wt.as_ref().expect("packed above")));
+        let dispatch = ConvBackward {
+            weight_plan: self.weight.exec_pattern()?,
+            spike_gather_dw: gather,
+            active_dx: active,
+        };
         let t0 = Instant::now();
-        let grads = conv2d_backward_exec(
+        let grads = conv2d_backward(
             x,
             &self.weight.value,
             grad_out,
             &self.geometry,
+            &dispatch,
             &self.scratch,
-            self.weight.exec_pattern()?,
-            gather,
-            active,
         )?;
         let elapsed = t0.elapsed().as_nanos() as u64;
         if gather {

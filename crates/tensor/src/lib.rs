@@ -20,7 +20,9 @@
 //!   sparse training schedules,
 //! - [`init`]: seeded Kaiming/Xavier/uniform/normal initializers,
 //! - [`parallel`]: persistent worker-pool parallelism with deterministic
-//!   chunking (honors `NDSNN_THREADS`; bit-identical at any thread count).
+//!   chunking (honors `NDSNN_THREADS`; bit-identical at any thread count),
+//! - [`reference`](mod@reference): deliberately naive matmul and conv
+//!   kernels, the oracle the fast kernels are tested bit-for-bit against.
 //!
 //! Everything is deterministic given an RNG seed, which the experiment
 //! harness relies on for reproducibility.
@@ -42,6 +44,7 @@ mod error;
 pub mod init;
 pub mod ops;
 pub mod parallel;
+pub mod reference;
 pub mod scratch;
 pub mod serialize;
 mod shape;

@@ -18,9 +18,7 @@ use crate::ops::grad::{gather_conv_dx, transpose_into};
 use crate::ops::layout::Im2colLayout;
 use crate::ops::spike::{gather_conv_dw, gather_conv_fwd};
 use crate::ops::spmm::{sp_mm, sp_mm_t};
-use crate::ops::tile::{
-    conv_fwd_tiled, gemm_tiled, BiasRow, NoEpilogue, PanelA, PanelB, TileEpilogue,
-};
+use crate::ops::tile::{conv_fwd_tiled, gemm_tiled, NoEpilogue, PanelA, PanelB, TileEpilogue};
 use crate::parallel::SharedSlice;
 use crate::scratch::ScratchPool;
 use crate::tensor::Tensor;
@@ -31,7 +29,8 @@ use crate::Csr;
 /// thread count — so block-partial gradients reduce in a fixed order and the
 /// result is bit-identical for any `NDSNN_THREADS` setting. The bound also
 /// caps transient memory: at most this many partial `dW` buffers are alive.
-const BWD_MAX_BLOCKS: usize = 8;
+/// [`crate::reference::conv2d_backward`] reduces through the same blocks.
+pub(crate) const BWD_MAX_BLOCKS: usize = 8;
 
 /// Static geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,14 +294,12 @@ pub fn col2im(
     }
 }
 
-fn check_pattern(pattern: Option<&Csr>, g: &Conv2dGeometry, cr: usize) -> Result<()> {
-    if let Some(pat) = pattern {
-        if pat.rows() != g.out_channels || pat.cols() != cr {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![pat.rows(), pat.cols()],
-                rhs: vec![g.out_channels, cr],
-            });
-        }
+fn check_pattern(pat: &Csr, g: &Conv2dGeometry, cr: usize) -> Result<()> {
+    if pat.rows() != g.out_channels || pat.cols() != cr {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![pat.rows(), pat.cols()],
+            rhs: vec![g.out_channels, cr],
+        });
     }
     Ok(())
 }
@@ -324,85 +321,81 @@ fn check_input(input: &Tensor, g: &Conv2dGeometry) -> Result<(usize, usize, usiz
     Ok((d[0], d[2], d[3]))
 }
 
-/// Forward convolution: `(B, C, H, W) -> (B, F, OH, OW)`.
-///
-/// `bias`, when provided, must have length `F` and is added per output
-/// channel. Allocates its im2col workspaces per call; layers that run every
-/// timestep should hold a [`ScratchPool`] and use
-/// [`conv2d_forward_pooled`] instead.
-pub fn conv2d_forward(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    g: &Conv2dGeometry,
-) -> Result<Tensor> {
-    conv2d_forward_pooled(input, weight, bias, g, &ScratchPool::new())
-}
-
-/// [`conv2d_forward`] with caller-owned scratch: im2col buffers come from
-/// `pool` and return to it, so a layer reuses the same allocations across
-/// all timesteps and epochs.
-pub fn conv2d_forward_pooled(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    g: &Conv2dGeometry,
-    pool: &ScratchPool,
-) -> Result<Tensor> {
-    conv2d_forward_exec(input, weight, bias, g, pool, None, false)
-}
-
-/// [`conv2d_forward_pooled`] with an optional sparsity pattern for the
-/// weight viewed as `F × (C·KH·KW)`, and an optional spike-gather dispatch.
-///
-/// With a pattern, the per-sample GEMM runs row-sparse ([`sp_mm`]) over the
-/// active positions only; the dense weight stays the source of truth for
-/// values. With `spike_gather` (and no pattern), the input must be binary
-/// spikes and the GEMM runs multiply-free over fired im2col rows
-/// ([`gather_conv_fwd`]) — bit-identical to the dense kernel. A pattern wins
-/// over `spike_gather`: weight sparsity below the install threshold is
-/// sparser than any spike batch worth gathering.
-pub fn conv2d_forward_exec(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    g: &Conv2dGeometry,
-    pool: &ScratchPool,
-    pattern: Option<&Csr>,
-    spike_gather: bool,
-) -> Result<Tensor> {
-    if let Some(bias) = bias {
-        if bias.len() != g.out_channels {
-            return Err(TensorError::LengthMismatch {
-                expected: g.out_channels,
-                actual: bias.len(),
-            });
-        }
-    }
-    if pattern.is_none() && !spike_gather {
-        // Dense dispatch: implicit GEMM with the bias fused into the tile
-        // epilogue (identical to the old separate pass — the add still
-        // happens after the full k accumulation of each element).
-        return match bias {
-            Some(bias) => {
-                conv2d_forward_with_epilogue(input, weight, g, &BiasRow(bias.as_slice()), pool)
-            }
-            None => conv2d_forward_with_epilogue(input, weight, g, &NoEpilogue, pool),
-        };
-    }
-    let (b, h, w) = check_input(input, g)?;
+fn check_weight(weight: &Tensor, g: &Conv2dGeometry) -> Result<()> {
     if weight.dims() != g.weight_dims() {
         return Err(TensorError::ShapeMismatch {
             lhs: weight.dims().to_vec(),
             rhs: g.weight_dims().to_vec(),
         });
     }
+    Ok(())
+}
+
+/// The kernel a forward convolution runs. Under its precondition every
+/// choice produces the bits of [`ConvKernel::Dense`].
+#[derive(Debug, Clone, Copy)]
+pub enum ConvKernel<'a> {
+    /// Implicit-GEMM tiles with the epilogue fused per tile.
+    Dense,
+    /// Row-sparse [`sp_mm`] over an index-only pattern of the weight viewed
+    /// as `F × (C·KH·KW)`. The dense weight stays the source of truth for
+    /// values and must be zero off the pattern.
+    WeightPlan(&'a Csr),
+    /// Multiply-free [`gather_conv_fwd`] over fired im2col rows. The input
+    /// must be binary spikes.
+    SpikeGather,
+}
+
+/// Forward convolution `(B, C, H, W) -> (B, F, OH, OW)`:
+/// `out[s] = epi(W · im2col(x[s]))`, the epilogue's `row` being the output
+/// channel.
+///
+/// `epi` carries the bias ([`crate::ops::tile::BiasRow`], or [`NoEpilogue`]
+/// without one) or the inference executor's frozen BatchNorm affine and LIF
+/// threshold ([`crate::ops::tile::AffineRow`],
+/// [`crate::ops::tile::AffineLifRow`]). Every kernel applies it after each
+/// element's full accumulation — fused per tile on the dense path, per
+/// output-channel row of each sample on the sparse ones — so the kernel
+/// choice never changes a bit. Workspaces come from `pool` and return to
+/// it, so a layer reuses the same allocations across all timesteps and
+/// epochs.
+pub fn conv2d_forward(
+    input: &Tensor,
+    weight: &Tensor,
+    g: &Conv2dGeometry,
+    kernel: ConvKernel<'_>,
+    epi: &impl TileEpilogue,
+    pool: &ScratchPool,
+) -> Result<Tensor> {
+    let (b, h, w) = check_input(input, g)?;
+    check_weight(weight, g)?;
     let (oh, ow) = g.output_hw(h, w)?;
     let (cr, spatial) = (g.col_rows(), oh * ow);
-    check_pattern(pattern, g, cr)?;
     let mut out = Tensor::zeros([b, g.out_channels, oh, ow]);
     let in_stride = g.in_channels * h * w;
     let out_stride = g.out_channels * spatial;
+    let pattern = match kernel {
+        ConvKernel::Dense => {
+            let layout = Im2colLayout::new(g, h, w, oh, ow);
+            conv_fwd_tiled(
+                weight.as_slice(),
+                input.as_slice(),
+                &layout,
+                b,
+                in_stride,
+                out.as_mut_slice(),
+                out_stride,
+                epi,
+                pool,
+            );
+            return Ok(out);
+        }
+        ConvKernel::WeightPlan(pat) => {
+            check_pattern(pat, g, cr)?;
+            Some(pat)
+        }
+        ConvKernel::SpikeGather => None,
+    };
     // Samples write disjoint output slices, so they parallelize across
     // cores (inline on single-core hosts; see `crate::parallel`).
     let in_data = input.as_slice();
@@ -430,55 +423,12 @@ pub fn conv2d_forward_exec(
             None => gather_conv_fwd(w_data, &col, out_chunk, g.out_channels, cr, spatial, pool),
         }
         pool.give(col);
-    });
-    if let Some(bias) = bias {
-        let od = out.as_mut_slice();
-        for s in 0..b {
-            for f in 0..g.out_channels {
-                let bv = bias.as_slice()[f];
-                let base = s * out_stride + f * spatial;
-                od[base..base + spatial].iter_mut().for_each(|v| *v += bv);
+        if !epi.is_noop() {
+            for (f, row) in out_chunk.chunks_mut(spatial).enumerate() {
+                epi.apply(f, 0, row);
             }
         }
-    }
-    Ok(out)
-}
-
-/// Dense implicit-GEMM forward with an arbitrary fused per-tile epilogue.
-///
-/// `out[s] = epi(W · im2col(x[s]))`; the epilogue's `row` argument is the
-/// output channel. The inference executor fuses its frozen-BatchNorm affine
-/// (and, single-timestep, the LIF threshold) here so a frozen conv block is
-/// one pass over the output instead of three.
-pub fn conv2d_forward_with_epilogue<E: TileEpilogue>(
-    input: &Tensor,
-    weight: &Tensor,
-    g: &Conv2dGeometry,
-    epi: &E,
-    pool: &ScratchPool,
-) -> Result<Tensor> {
-    let (b, h, w) = check_input(input, g)?;
-    if weight.dims() != g.weight_dims() {
-        return Err(TensorError::ShapeMismatch {
-            lhs: weight.dims().to_vec(),
-            rhs: g.weight_dims().to_vec(),
-        });
-    }
-    let (oh, ow) = g.output_hw(h, w)?;
-    let spatial = oh * ow;
-    let mut out = Tensor::zeros([b, g.out_channels, oh, ow]);
-    let layout = Im2colLayout::new(g, h, w, oh, ow);
-    conv_fwd_tiled(
-        weight.as_slice(),
-        input.as_slice(),
-        &layout,
-        b,
-        g.in_channels * h * w,
-        out.as_mut_slice(),
-        g.out_channels * spatial,
-        epi,
-        pool,
-    );
+    });
     Ok(out)
 }
 
@@ -492,39 +442,6 @@ pub struct Conv2dGrads {
     pub weight_grad: Tensor,
     /// Gradient with respect to the bias (length `F`).
     pub bias_grad: Tensor,
-}
-
-/// Backward convolution. `grad_out` is `(B, F, OH, OW)`.
-///
-/// Allocates its workspaces per call; layers should hold a [`ScratchPool`]
-/// and use [`conv2d_backward_pooled`] on the BPTT hot path.
-pub fn conv2d_backward(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    g: &Conv2dGeometry,
-) -> Result<Conv2dGrads> {
-    conv2d_backward_pooled(input, weight, grad_out, g, &ScratchPool::new())
-}
-
-/// [`conv2d_backward`] with caller-owned scratch and sample-block
-/// parallelism.
-///
-/// The batch is split into at most [`BWD_MAX_BLOCKS`] contiguous sample
-/// blocks. Each worker owns a block: it writes the block's `input_grad`
-/// slice directly (disjoint by construction) and accumulates `dW`/`dBias`
-/// into block-private partials, which are then reduced in ascending block
-/// order. Because the partition depends only on the batch size, the
-/// floating-point reduction order — and therefore the result — is identical
-/// for any thread count.
-pub fn conv2d_backward_pooled(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    g: &Conv2dGeometry,
-    pool: &ScratchPool,
-) -> Result<Conv2dGrads> {
-    conv2d_backward_exec(input, weight, grad_out, g, pool, None, false, None)
 }
 
 /// Epilogue for the per-sample dW staging GEMM: folds each finished output
@@ -551,44 +468,61 @@ impl TileEpilogue for FoldAndRezero<'_> {
     }
 }
 
-/// [`conv2d_backward_pooled`] with an optional sparsity pattern for the
-/// weight viewed as `F × (C·KH·KW)`, an optional spike-gather dispatch
-/// for the weight gradient, and an optional gradient active set restricting
-/// the input gradient.
+/// The dispatches of a backward convolution. They compose freely;
+/// [`ConvBackward::default()`] is the dense backward.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ConvBackward<'a> {
+    /// Index-only pattern of the weight viewed as `F × (C·KH·KW)`: the
+    /// col-gradient product `Wᵀ·gy` runs row-sparse ([`sp_mm_t`]).
+    pub weight_plan: Option<&'a Csr>,
+    /// The input is binary spikes: `dW = gy · colᵀ` gathers only fired
+    /// im2col positions ([`gather_conv_dw`]).
+    pub spike_gather_dw: bool,
+    /// The receiver population's per-timestep active set (a `b × C·H·W`
+    /// index-only [`Csr`] over the conv *input*) and the caller's
+    /// [`Csr::from_dense_transposed`] pack of this weight viewed as
+    /// `F × (C·KH·KW)`: `dX` is computed only at active pixels
+    /// ([`gather_conv_dx`]) and stays `0.0` elsewhere.
+    pub active_dx: Option<(&'a Csr, &'a Csr<f32>)>,
+}
+
+/// Backward convolution. `grad_out` is `(B, F, OH, OW)`; `weight` must have
+/// the geometry's dims.
 ///
-/// With a pattern, the input-gradient product `Wᵀ·gy` runs row-sparse
-/// ([`sp_mm_t`]). With `spike_gather`, the input must be binary spikes and
-/// `dW = gy · colᵀ` gathers only fired im2col positions
-/// ([`gather_conv_dw`]) — bit-identical to the dense loop, and composable
-/// with a pattern (`dW` values are always dense either way, so drop/grow
-/// decisions that read gradients are unchanged by either dispatch). `dBias`
-/// is always computed dense.
+/// The batch is split into at most `BWD_MAX_BLOCKS` (8) contiguous sample
+/// blocks. Each worker owns a block: it writes the block's `input_grad`
+/// slice directly (disjoint by construction) and accumulates `dW`/`dBias`
+/// into block-private partials, which are then reduced in ascending block
+/// order. Because the partition depends only on the batch size, the
+/// floating-point reduction order — and therefore the result — is identical
+/// for any thread count. Workspaces come from `pool`.
 ///
-/// With `active` (the receiver population's per-timestep active set, a
-/// `b × C·H·W` index-only [`Csr`] over the conv *input*, paired with the
-/// caller's [`Csr::from_dense_transposed`] pack of this weight viewed as
-/// `F × (C·KH·KW)`), the
-/// `dCol` product and `col2im` scatter are replaced by [`gather_conv_dx`]:
-/// `dX` is computed only at active input pixels, in the dense accumulation
-/// order, and stays `0.0` elsewhere — exact for downstream consumers that
-/// multiply `dX` by the surrogate derivative (see [`crate::ops::grad`]).
-/// The packed transpose is taken by reference so callers can amortize one
-/// pack across every timestep of a BPTT backward (weights only change
-/// between batches). Composes with both other dispatches (`dW`/`dBias` are
-/// untouched) and with a weight pattern through the kernels' masked-weight
-/// zero skip.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward_exec(
+/// The dispatches in `dispatch` never change a bit on their preconditions
+/// (a weight zero off its plan, a binary input). The spike-gather `dW` is
+/// dense-valued, so drop/grow decisions that read gradients are unchanged by
+/// it, and `dBias` is always computed dense. The active-set `dX` replaces
+/// the `dCol` product and `col2im` scatter: in the dense accumulation order
+/// at active input pixels, `0.0` elsewhere — exact for downstream consumers
+/// that multiply `dX` by the surrogate derivative (see
+/// [`crate::ops::grad`]). Its packed transpose is taken by reference so
+/// callers can amortize one pack across every timestep of a BPTT backward
+/// (weights only change between batches); it composes with a weight plan
+/// through the kernels' masked-weight zero skip.
+pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     g: &Conv2dGeometry,
+    dispatch: &ConvBackward<'_>,
     pool: &ScratchPool,
-    pattern: Option<&Csr>,
-    spike_gather: bool,
-    active: Option<(&Csr, &Csr<f32>)>,
 ) -> Result<Conv2dGrads> {
+    let ConvBackward {
+        weight_plan: pattern,
+        spike_gather_dw: spike_gather,
+        active_dx: active,
+    } = *dispatch;
     let (b, h, w) = check_input(input, g)?;
+    check_weight(weight, g)?;
     let (oh, ow) = g.output_hw(h, w)?;
     if grad_out.dims() != [b, g.out_channels, oh, ow] {
         return Err(TensorError::ShapeMismatch {
@@ -597,7 +531,9 @@ pub fn conv2d_backward_exec(
         });
     }
     let (cr, spatial) = (g.col_rows(), oh * ow);
-    check_pattern(pattern, g, cr)?;
+    if let Some(pat) = pattern {
+        check_pattern(pat, g, cr)?;
+    }
     if let Some((ab, pwt)) = active {
         if ab.rows() != b || ab.cols() != g.in_channels * h * w {
             return Err(TensorError::ShapeMismatch {
@@ -657,8 +593,8 @@ pub fn conv2d_backward_exec(
         // Per-sample dW staging: the tiled GEMM computes the sample's full
         // contribution from zero, then the fused epilogue folds it into the
         // running `wg` with one add per element — the exact `wv += acc`
-        // chain of the pre-tile per-(f,r) dot loop, so block partials stay
-        // bit-identical — and restores the staging to zero for the next
+        // chain of the reference's per-(f,r) dot loop, so block partials
+        // stay bit-identical — and restores the staging to zero for the next
         // sample while the tile is still cache-hot. That fusion replaces
         // two extra `wlen`-sized passes (a `fill(0.0)` and a separate fold
         // loop), which dominate the dW cost at small spatial sizes.
@@ -775,221 +711,30 @@ pub fn conv2d_backward_exec(
     })
 }
 
-/// The pre-tile dense convolution kernels, kept verbatim as the A/B
-/// reference for the `tile_kernels` bench and the bit-identity property
-/// tests: explicit per-sample im2col, row-range-threaded GEMM, separate bias
-/// pass, materialized transposed weight and per-(f,r) dot loops in backward.
-pub mod pretile {
-    use super::*;
-    use crate::ops::matmul::pretile::matmul_into;
-
-    /// Pre-tile dense forward: per-sample im2col + GEMM + bias pass.
-    pub fn conv2d_forward(
-        input: &Tensor,
-        weight: &Tensor,
-        bias: Option<&Tensor>,
-        g: &Conv2dGeometry,
-        pool: &ScratchPool,
-    ) -> Result<Tensor> {
-        let (b, h, w) = check_input(input, g)?;
-        if weight.dims() != g.weight_dims() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: weight.dims().to_vec(),
-                rhs: g.weight_dims().to_vec(),
-            });
-        }
-        let (oh, ow) = g.output_hw(h, w)?;
-        let (cr, spatial) = (g.col_rows(), oh * ow);
-        let mut out = Tensor::zeros([b, g.out_channels, oh, ow]);
-        let in_stride = g.in_channels * h * w;
-        let out_stride = g.out_channels * spatial;
-        let in_data = input.as_slice();
-        let w_data = weight.as_slice();
-        let chunks: Vec<(usize, &mut [f32])> = out
-            .as_mut_slice()
-            .chunks_mut(out_stride.max(1))
-            .enumerate()
-            .collect();
-        crate::parallel::parallel_for_chunks(chunks, |s, out_chunk| {
-            let mut col = pool.take(cr * spatial);
-            im2col(
-                &in_data[s * in_stride..(s + 1) * in_stride],
-                g,
-                h,
-                w,
-                oh,
-                ow,
-                &mut col,
-            );
-            matmul_into(w_data, &col, out_chunk, g.out_channels, cr, spatial);
-            pool.give(col);
-        });
-        if let Some(bias) = bias {
-            if bias.len() != g.out_channels {
-                return Err(TensorError::LengthMismatch {
-                    expected: g.out_channels,
-                    actual: bias.len(),
-                });
-            }
-            let od = out.as_mut_slice();
-            for s in 0..b {
-                for f in 0..g.out_channels {
-                    let bv = bias.as_slice()[f];
-                    let base = s * out_stride + f * spatial;
-                    od[base..base + spatial].iter_mut().for_each(|v| *v += bv);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Pre-tile dense backward: explicit im2col, scalar per-(f,r) dW dots,
-    /// materialized `Wᵀ` for the col gradient.
-    pub fn conv2d_backward(
-        input: &Tensor,
-        weight: &Tensor,
-        grad_out: &Tensor,
-        g: &Conv2dGeometry,
-        pool: &ScratchPool,
-    ) -> Result<Conv2dGrads> {
-        let (b, h, w) = check_input(input, g)?;
-        let (oh, ow) = g.output_hw(h, w)?;
-        if grad_out.dims() != [b, g.out_channels, oh, ow] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: grad_out.dims().to_vec(),
-                rhs: vec![b, g.out_channels, oh, ow],
-            });
-        }
-        let (cr, spatial) = (g.col_rows(), oh * ow);
-        let mut input_grad = Tensor::zeros(input.shape().clone());
-        let mut weight_grad = Tensor::zeros(weight.shape().clone());
-        let mut bias_grad = Tensor::zeros([g.out_channels]);
-        let in_stride = g.in_channels * h * w;
-        let out_stride = g.out_channels * spatial;
-        let wlen = g.out_channels * cr;
-        let wt = weight.reshape([g.out_channels, cr])?.transpose2d()?;
-        let wt_data = wt.as_slice();
-        let in_data = input.as_slice();
-        let gy_data = grad_out.as_slice();
-        if b == 0 {
-            return Ok(Conv2dGrads {
-                input_grad,
-                weight_grad,
-                bias_grad,
-            });
-        }
-        let block = b.div_ceil(BWD_MAX_BLOCKS).max(1);
-        let nblocks = b.div_ceil(block);
-        type GradPartial = Option<(Vec<f32>, Vec<f32>)>;
-        let mut partials: Vec<GradPartial> = (0..nblocks).map(|_| None).collect();
-        let chunks: Vec<(usize, (&mut [f32], &mut GradPartial))> = input_grad
-            .as_mut_slice()
-            .chunks_mut(block * in_stride)
-            .zip(partials.iter_mut())
-            .enumerate()
-            .collect();
-        crate::parallel::parallel_for_chunks(chunks, |bi, (ig_chunk, slot)| {
-            let s0 = bi * block;
-            let samples = ig_chunk.len() / in_stride.max(1);
-            let mut col = pool.take(cr * spatial);
-            let mut col_grad = pool.take(cr * spatial);
-            let mut wg = pool.take_zeroed(wlen);
-            let mut bg = vec![0.0f32; g.out_channels];
-            for s in 0..samples {
-                let gy = &gy_data[(s0 + s) * out_stride..(s0 + s + 1) * out_stride];
-                im2col(
-                    &in_data[(s0 + s) * in_stride..(s0 + s + 1) * in_stride],
-                    g,
-                    h,
-                    w,
-                    oh,
-                    ow,
-                    &mut col,
-                );
-                for f in 0..g.out_channels {
-                    let gyrow = &gy[f * spatial..(f + 1) * spatial];
-                    let wrow = &mut wg[f * cr..(f + 1) * cr];
-                    for (r, wv) in wrow.iter_mut().enumerate() {
-                        let crow = &col[r * spatial..(r + 1) * spatial];
-                        let mut acc = 0.0f32;
-                        for (gv, cv) in gyrow.iter().zip(crow) {
-                            acc += gv * cv;
-                        }
-                        *wv += acc;
-                    }
-                }
-                for f in 0..g.out_channels {
-                    bg[f] += gy[f * spatial..(f + 1) * spatial].iter().sum::<f32>();
-                }
-                col_grad.fill(0.0);
-                matmul_into(wt_data, gy, &mut col_grad, cr, g.out_channels, spatial);
-                col2im(
-                    &col_grad,
-                    g,
-                    h,
-                    w,
-                    oh,
-                    ow,
-                    &mut ig_chunk[s * in_stride..(s + 1) * in_stride],
-                );
-            }
-            pool.give(col);
-            pool.give(col_grad);
-            *slot = Some((wg, bg));
-        });
-        let wg_total = weight_grad.as_mut_slice();
-        let bg_total = bias_grad.as_mut_slice();
-        for slot in partials {
-            let (wg, bg) = slot.expect("every block produced a partial");
-            for (t, v) in wg_total.iter_mut().zip(&wg) {
-                *t += v;
-            }
-            for (t, v) in bg_total.iter_mut().zip(&bg) {
-                *t += v;
-            }
-            pool.give(wg);
-        }
-        Ok(Conv2dGrads {
-            input_grad,
-            weight_grad,
-            bias_grad,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::tile::BiasRow;
+    use crate::reference;
     use rand::{rngs::StdRng, SeedableRng};
 
-    fn naive_conv(input: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Tensor {
-        let (b, h, w) = (input.dims()[0], input.dims()[2], input.dims()[3]);
-        let (oh, ow) = g.output_hw(h, w).unwrap();
-        let mut out = Tensor::zeros([b, g.out_channels, oh, ow]);
-        for s in 0..b {
-            for f in 0..g.out_channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0;
-                        for c in 0..g.in_channels {
-                            for kh in 0..g.kernel_h {
-                                for kw in 0..g.kernel_w {
-                                    let iy = (oy * g.stride + kh) as isize - g.padding as isize;
-                                    let ix = (ox * g.stride + kw) as isize - g.padding as isize;
-                                    if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w
-                                    {
-                                        acc += input.get(&[s, c, iy as usize, ix as usize])
-                                            * weight.get(&[f, c, kh, kw]);
-                                    }
-                                }
-                            }
-                        }
-                        out.set(&[s, f, oy, ox], acc);
-                    }
-                }
-            }
-        }
-        out
+    fn fwd(input: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Result<Tensor> {
+        conv2d_forward(
+            input,
+            weight,
+            g,
+            ConvKernel::Dense,
+            &NoEpilogue,
+            &ScratchPool::new(),
+        )
+    }
+
+    fn bwd(x: &Tensor, w: &Tensor, gy: &Tensor, g: &Conv2dGeometry) -> Result<Conv2dGrads> {
+        conv2d_backward(x, w, gy, g, &ConvBackward::default(), &ScratchPool::new())
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -1063,11 +808,9 @@ mod tests {
         let g = Conv2dGeometry::square(3, 5, 3, 1, 1);
         let input = crate::init::uniform([2, 3, 7, 6], -1.0, 1.0, &mut rng);
         let weight = crate::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
-        let got = conv2d_forward(&input, &weight, None, &g).unwrap();
-        let want = naive_conv(&input, &weight, &g);
-        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+        let got = fwd(&input, &weight, &g).unwrap();
+        let want = reference::conv2d_forward(&input, &weight, None, &g);
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -1076,12 +819,10 @@ mod tests {
         let g = Conv2dGeometry::square(2, 4, 3, 2, 1);
         let input = crate::init::uniform([1, 2, 8, 8], -1.0, 1.0, &mut rng);
         let weight = crate::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
-        let got = conv2d_forward(&input, &weight, None, &g).unwrap();
+        let got = fwd(&input, &weight, &g).unwrap();
         assert_eq!(got.dims(), &[1, 4, 4, 4]);
-        let want = naive_conv(&input, &weight, &g);
-        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        let want = reference::conv2d_forward(&input, &weight, None, &g);
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -1089,8 +830,17 @@ mod tests {
         let g = Conv2dGeometry::square(1, 2, 1, 1, 0);
         let input = Tensor::ones([1, 1, 2, 2]);
         let weight = Tensor::from_vec(g.weight_dims(), vec![1.0, -1.0]).unwrap();
-        let bias = Tensor::from_slice(&[10.0, 20.0]);
-        let out = conv2d_forward(&input, &weight, Some(&bias), &g).unwrap();
+        let bias = [10.0, 20.0];
+        let pool = ScratchPool::new();
+        let out = conv2d_forward(
+            &input,
+            &weight,
+            &g,
+            ConvKernel::Dense,
+            &BiasRow(&bias),
+            &pool,
+        )
+        .unwrap();
         assert_eq!(out.get(&[0, 0, 0, 0]), 11.0);
         assert_eq!(out.get(&[0, 1, 1, 1]), 19.0);
     }
@@ -1105,11 +855,10 @@ mod tests {
         // Loss = sum(conv(input, weight)), so grad_out = ones.
         let (oh, ow) = g.output_hw(5, 5).unwrap();
         let grad_out = Tensor::ones([2, 3, oh, ow]);
-        let grads = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
+        let grads = bwd(&input, &weight, &grad_out, &g).unwrap();
 
         let eps = 1e-3;
-        let loss =
-            |wt: &Tensor, inp: &Tensor| -> f32 { conv2d_forward(inp, wt, None, &g).unwrap().sum() };
+        let loss = |wt: &Tensor, inp: &Tensor| -> f32 { fwd(inp, wt, &g).unwrap().sum() };
         // Spot-check several weight coordinates.
         for &idx in &[0usize, 7, 20, weight.len() - 1] {
             let mut wp = weight.clone();
@@ -1151,9 +900,8 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
-    /// The pooled entry points must equal the plain ones bit-for-bit (same
-    /// kernels, only the workspace source differs) and actually recycle
-    /// buffers across calls.
+    /// A reused pool must give the bits of a fresh one (only the workspace
+    /// source differs) and actually recycle buffers across calls.
     #[test]
     fn pooled_conv_bit_identical_and_reuses_scratch() {
         let mut rng = StdRng::seed_from_u64(46);
@@ -1161,8 +909,10 @@ mod tests {
         let input = crate::init::uniform([6, 3, 9, 9], -1.0, 1.0, &mut rng);
         let weight = crate::init::uniform(g.weight_dims(), -0.5, 0.5, &mut rng);
         let bias = crate::init::uniform([4], -0.1, 0.1, &mut rng);
+        let epi = BiasRow(bias.as_slice());
         let (oh, ow) = g.output_hw(9, 9).unwrap();
         let grad_out = crate::init::uniform([6, 4, oh, ow], -1.0, 1.0, &mut rng);
+        let dense = ConvBackward::default();
 
         // Serial, so the pool's peak demand is fixed: threaded, it depends on
         // how many sample blocks happen to hold buffers at once, and a later
@@ -1170,20 +920,29 @@ mod tests {
         crate::parallel::run_serial(|| {
             let pool = ScratchPool::new();
             for _ in 0..3 {
-                let out = conv2d_forward_pooled(&input, &weight, Some(&bias), &g, &pool).unwrap();
-                let plain = conv2d_forward(&input, &weight, Some(&bias), &g).unwrap();
-                assert_eq!(out.as_slice(), plain.as_slice());
+                let out =
+                    conv2d_forward(&input, &weight, &g, ConvKernel::Dense, &epi, &pool).unwrap();
+                let fresh = conv2d_forward(
+                    &input,
+                    &weight,
+                    &g,
+                    ConvKernel::Dense,
+                    &epi,
+                    &ScratchPool::new(),
+                )
+                .unwrap();
+                assert_eq!(out.as_slice(), fresh.as_slice());
 
-                let grads = conv2d_backward_pooled(&input, &weight, &grad_out, &g, &pool).unwrap();
-                let plain = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
-                assert_eq!(grads.input_grad.as_slice(), plain.input_grad.as_slice());
-                assert_eq!(grads.weight_grad.as_slice(), plain.weight_grad.as_slice());
-                assert_eq!(grads.bias_grad.as_slice(), plain.bias_grad.as_slice());
+                let grads = conv2d_backward(&input, &weight, &grad_out, &g, &dense, &pool).unwrap();
+                let fresh = bwd(&input, &weight, &grad_out, &g).unwrap();
+                assert_eq!(grads.input_grad.as_slice(), fresh.input_grad.as_slice());
+                assert_eq!(grads.weight_grad.as_slice(), fresh.weight_grad.as_slice());
+                assert_eq!(grads.bias_grad.as_slice(), fresh.bias_grad.as_slice());
             }
             // All taken buffers were returned; subsequent calls reuse them.
             assert!(pool.idle_buffers() > 0);
             let retained = pool.retained_capacity();
-            let _ = conv2d_backward_pooled(&input, &weight, &grad_out, &g, &pool).unwrap();
+            let _ = conv2d_backward(&input, &weight, &grad_out, &g, &dense, &pool).unwrap();
             assert_eq!(
                 pool.retained_capacity(),
                 retained,
@@ -1192,9 +951,9 @@ mod tests {
         });
     }
 
-    /// The sparse dispatch must reproduce the dense result on a masked
-    /// weight: forward and input-grad within f32 tolerance (different
-    /// accumulation order), dW/dBias bit-identical (never dispatched sparse).
+    /// The weight-plan dispatch must reproduce the dense result bit for bit
+    /// on a masked weight: the skipped terms are exact zero products on a
+    /// `+0.0`-seeded ascending chain.
     #[test]
     fn exec_with_pattern_matches_dense_on_masked_weight() {
         let mut rng = StdRng::seed_from_u64(47);
@@ -1215,55 +974,50 @@ mod tests {
         let pool = ScratchPool::new();
         let (oh, ow) = g.output_hw(8, 8).unwrap();
         let grad_out = crate::init::uniform([3, 6, oh, ow], -1.0, 1.0, &mut rng);
+        let plan = ConvBackward {
+            weight_plan: Some(&pat),
+            ..ConvBackward::default()
+        };
 
-        let dense = conv2d_forward(&input, &weight, None, &g).unwrap();
-        let sparse =
-            conv2d_forward_exec(&input, &weight, None, &g, &pool, Some(&pat), false).unwrap();
-        for (a, b) in sparse.as_slice().iter().zip(dense.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-
-        let dg = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
-        let sg = conv2d_backward_exec(
+        let dense = fwd(&input, &weight, &g).unwrap();
+        let sparse = conv2d_forward(
             &input,
             &weight,
-            &grad_out,
             &g,
+            ConvKernel::WeightPlan(&pat),
+            &NoEpilogue,
             &pool,
-            Some(&pat),
-            false,
-            None,
         )
         .unwrap();
-        for (a, b) in sg
-            .input_grad
-            .as_slice()
-            .iter()
-            .zip(dg.input_grad.as_slice())
-        {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-        }
-        assert_eq!(sg.weight_grad.as_slice(), dg.weight_grad.as_slice());
-        assert_eq!(sg.bias_grad.as_slice(), dg.bias_grad.as_slice());
+        assert_eq!(bits(&sparse), bits(&dense));
+
+        let dg = bwd(&input, &weight, &grad_out, &g).unwrap();
+        let sg = conv2d_backward(&input, &weight, &grad_out, &g, &plan, &pool).unwrap();
+        assert_eq!(bits(&sg.input_grad), bits(&dg.input_grad));
+        assert_eq!(bits(&sg.weight_grad), bits(&dg.weight_grad));
+        assert_eq!(bits(&sg.bias_grad), bits(&dg.bias_grad));
 
         // A pattern whose shape disagrees with the geometry is rejected.
         let bad = Csr::from_mask(1, 2, &[1.0, 0.0]);
-        assert!(conv2d_forward_exec(&input, &weight, None, &g, &pool, Some(&bad), false).is_err());
-        assert!(conv2d_backward_exec(
+        let bad_plan = ConvBackward {
+            weight_plan: Some(&bad),
+            ..ConvBackward::default()
+        };
+        assert!(conv2d_forward(
             &input,
             &weight,
-            &grad_out,
             &g,
-            &pool,
-            Some(&bad),
-            false,
-            None
+            ConvKernel::WeightPlan(&bad),
+            &NoEpilogue,
+            &pool
         )
         .is_err());
+        assert!(conv2d_backward(&input, &weight, &grad_out, &g, &bad_plan, &pool).is_err());
     }
 
     /// The spike-gather dispatch must equal dense execution bit-for-bit on a
-    /// binary input — forward output and all three gradients.
+    /// binary input — forward output (bias epilogue included) and all three
+    /// gradients.
     #[test]
     fn exec_with_spike_gather_bit_identical_on_binary_input() {
         use rand::Rng;
@@ -1277,20 +1031,22 @@ mod tests {
         }
         let weight = crate::init::uniform(g.weight_dims(), -0.5, 0.5, &mut rng);
         let bias = crate::init::uniform([6], -0.1, 0.1, &mut rng);
+        let epi = BiasRow(bias.as_slice());
         let (oh, ow) = g.output_hw(8, 8).unwrap();
         let grad_out = crate::init::uniform([4, 6, oh, ow], -1.0, 1.0, &mut rng);
         let pool = ScratchPool::new();
 
-        let dense =
-            conv2d_forward_exec(&input, &weight, Some(&bias), &g, &pool, None, false).unwrap();
+        let dense = conv2d_forward(&input, &weight, &g, ConvKernel::Dense, &epi, &pool).unwrap();
         let spike =
-            conv2d_forward_exec(&input, &weight, Some(&bias), &g, &pool, None, true).unwrap();
+            conv2d_forward(&input, &weight, &g, ConvKernel::SpikeGather, &epi, &pool).unwrap();
         assert_eq!(spike.as_slice(), dense.as_slice());
 
-        let dg =
-            conv2d_backward_exec(&input, &weight, &grad_out, &g, &pool, None, false, None).unwrap();
-        let sg =
-            conv2d_backward_exec(&input, &weight, &grad_out, &g, &pool, None, true, None).unwrap();
+        let gather = ConvBackward {
+            spike_gather_dw: true,
+            ..ConvBackward::default()
+        };
+        let dg = bwd(&input, &weight, &grad_out, &g).unwrap();
+        let sg = conv2d_backward(&input, &weight, &grad_out, &g, &gather, &pool).unwrap();
         assert_eq!(sg.weight_grad.as_slice(), dg.weight_grad.as_slice());
         assert_eq!(sg.input_grad.as_slice(), dg.input_grad.as_slice());
         assert_eq!(sg.bias_grad.as_slice(), dg.bias_grad.as_slice());
@@ -1301,6 +1057,24 @@ mod tests {
         let g = Conv2dGeometry::square(1, 1, 9, 1, 0);
         let input = Tensor::zeros([1, 1, 4, 4]);
         let weight = Tensor::zeros(g.weight_dims());
-        assert!(conv2d_forward(&input, &weight, None, &g).is_err());
+        assert!(fwd(&input, &weight, &g).is_err());
+
+        // A weight smaller or larger than the geometry's dims is a shape
+        // error in both directions — never a panic in the tile packer, never
+        // a wrongly shaped gradient.
+        let g = Conv2dGeometry::square(2, 3, 3, 1, 1);
+        let x = Tensor::zeros([1, 2, 5, 5]);
+        let gy = Tensor::zeros([1, 3, 5, 5]);
+        for dims in [[3, 2, 2, 2], [4, 2, 3, 3]] {
+            let w = Tensor::zeros(dims);
+            assert!(matches!(
+                fwd(&x, &w, &g),
+                Err(TensorError::ShapeMismatch { .. })
+            ));
+            assert!(matches!(
+                bwd(&x, &w, &gy, &g),
+                Err(TensorError::ShapeMismatch { .. })
+            ));
+        }
     }
 }

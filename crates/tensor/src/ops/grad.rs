@@ -217,10 +217,22 @@ pub fn gather_conv_dx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::conv::{conv2d_backward, Conv2dGeometry};
+    use crate::ops::conv::{conv2d_backward, Conv2dGeometry, ConvBackward};
     use crate::ops::matmul::matmul;
     use crate::parallel::run_serial;
+    use crate::scratch::ScratchPool;
+    use crate::Tensor;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    fn dense_backward(
+        input: &Tensor,
+        weight: &Tensor,
+        grad_out: &Tensor,
+        g: &Conv2dGeometry,
+    ) -> crate::ops::conv::Conv2dGrads {
+        let pool = ScratchPool::new();
+        conv2d_backward(input, weight, grad_out, g, &ConvBackward::default(), &pool).unwrap()
+    }
 
     fn active_from_mask(rows: usize, cols: usize, keep: impl Fn(usize) -> bool) -> Csr {
         let flat: Vec<u32> = (0..rows * cols)
@@ -295,7 +307,7 @@ mod tests {
             *v = 0.0;
         }
         let grad_out = crate::init::uniform([b, 4, oh, ow], -1.0, 1.0, &mut rng);
-        let want = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
+        let want = dense_backward(&input, &weight, &grad_out, &g);
 
         let (cr, spatial, f) = (g.col_rows(), oh * ow, g.out_channels);
         let pwt = Csr::from_dense_transposed(f, cr, weight.as_slice());
@@ -330,7 +342,7 @@ mod tests {
         let input = crate::init::uniform([1, 2, h, w], -1.0, 1.0, &mut rng);
         let weight = crate::init::uniform([3, 2, 3, 3], -1.0, 1.0, &mut rng);
         let grad_out = crate::init::uniform([1, 3, oh, ow], -1.0, 1.0, &mut rng);
-        let want = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
+        let want = dense_backward(&input, &weight, &grad_out, &g);
         let (cr, spatial, f) = (g.col_rows(), oh * ow, g.out_channels);
         let pwt = Csr::from_dense_transposed(f, cr, weight.as_slice());
         let mut gyt = vec![0.0f32; spatial * f];
@@ -350,7 +362,7 @@ mod tests {
         let input = crate::init::uniform([1, 3, h, w], -1.0, 1.0, &mut rng);
         let weight = crate::init::uniform([5, 3, 3, 3], -1.0, 1.0, &mut rng);
         let grad_out = crate::init::uniform([1, 5, oh, ow], -1.0, 1.0, &mut rng);
-        let want = conv2d_backward(&input, &weight, &grad_out, &g).unwrap();
+        let want = dense_backward(&input, &weight, &grad_out, &g);
         let (cr, spatial, f) = (g.col_rows(), oh * ow, g.out_channels);
         let pwt = Csr::from_dense_transposed(f, cr, weight.as_slice());
         let mut gyt = vec![0.0f32; spatial * f];

@@ -7,23 +7,18 @@
 //! over output *tiles* (not rows), gated by the minimum-work heuristic
 //! (`NDSNN_MIN_TILE_WORK`) so small products stay serial.
 //!
-//! Every per-element accumulation is an ascending-k chain regardless of the
-//! thread count or tile partition, and it is the *same* chain the pre-tile
-//! row-loop kernels ran (their zero-product skips were exact no-ops on a
-//! `+0.0`-seeded chain), so results are bit-identical across `NDSNN_THREADS`
-//! and vs the [`pretile`] reference kernels — asserted by the tests below.
+//! Every per-element accumulation is a `+0.0`-seeded ascending-k chain
+//! regardless of the thread count or tile partition — the chain of the naive
+//! [`crate::reference`] kernels — so results are bit-identical across
+//! `NDSNN_THREADS` and to the reference, as the tests below assert.
 
 use crate::error::{Result, TensorError};
 use crate::ops::tile::{self, gemm_tiled, NoEpilogue, PanelA, PanelB, TileEpilogue};
 use crate::parallel::{parallel_for_chunks, worker_threads};
 use crate::tensor::Tensor;
 
-/// Cache block edge (elements). 64×64 f32 blocks ≈ 16 KiB, comfortably inside
-/// L1 on any target this crate runs on.
-const BLOCK: usize = 64;
-
-/// Minimum multiply-add count (`m·k·n`) before a product is worth threading;
-/// below this the spawn/join overhead of scoped threads dominates.
+/// Minimum multiply-add count (`m·k·n`) before a row-range product is worth
+/// threading; below this, waking the pool workers costs more than it buys.
 const PAR_MIN_MACS: usize = 1 << 17;
 
 fn check2d(t: &Tensor) -> Result<(usize, usize)> {
@@ -106,37 +101,6 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(c)
 }
 
-/// Rows `i0..i0+rows` of `C(m×n) = Aᵀ·B` with `A` `k×m`, `B` `k×n`.
-///
-/// `C[i,j] = Σ_p A[p,i]·B[p,j]`: iterate p outermost so both inner reads are
-/// sequential; accumulate rank-1 updates. The zero-skip on `A[p,i]` matters
-/// on the BPTT hot path, where `A` is a (mostly zero) spike matrix.
-#[allow(clippy::too_many_arguments)] // private mirror of the GEMM dims (m,k,n) + row range
-fn at_b_rows(
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    i0: usize,
-    rows: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    for p in 0..k {
-        let arow = &a[p * m + i0..p * m + i0 + rows];
-        let brow = &b[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let crow = &mut c_rows[i * n..(i + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
-
 /// `C(m×n) = A(m×k) · Bᵀ` where `B` is `n×k`.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     matmul_a_bt_epilogue(a, b, &NoEpilogue)
@@ -168,32 +132,6 @@ pub fn matmul_a_bt_epilogue<E: TileEpilogue>(a: &Tensor, b: &Tensor, epi: &E) ->
     Ok(c)
 }
 
-/// Rows `i0..i0+rows` of `C(m×n) = A·Bᵀ` with `A` `m×k`, `B` `n×k`.
-///
-/// The `A[i,p] == 0.0` skip serves the spiking forward pass, where `A` is a
-/// batch of binary spike rows. It cannot change the result: the accumulator
-/// starts at `+0.0` and `x + (±0.0) == x` for every reachable `x` (the sum of
-/// a `+0.0`-seeded chain is never `-0.0`), so dropped zero products are exact
-/// no-ops. This also makes the kernel run the same floating-point op sequence
-/// as the fired-index gather in [`crate::ops::spike`].
-fn a_bt_rows(a: &[f32], b: &[f32], c_rows: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
-    for i in 0..rows {
-        let arow = &a[(i0 + i) * k..(i0 + i + 1) * k];
-        let crow = &mut c_rows[i * n..(i + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                if av == 0.0 {
-                    continue;
-                }
-                acc += av * bv;
-            }
-            *cv += acc;
-        }
-    }
-}
-
 /// Tiled `C += A·B` on raw row-major slices.
 ///
 /// `a` is `m×k`, `b` is `k×n`, `c` is `m×n`. Exposed for kernels that drive
@@ -217,109 +155,6 @@ pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     );
 }
 
-/// Cache-blocked accumulation of rows `i0..i0+rows` of `C += A·B`.
-fn blocked_rows(
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut jb = 0;
-    while jb < n {
-        let jend = (jb + BLOCK).min(n);
-        let mut pb = 0;
-        while pb < k {
-            let pend = (pb + BLOCK).min(k);
-            for i in 0..rows {
-                let arow = &a[(i0 + i) * k..(i0 + i + 1) * k];
-                let crow = &mut c_rows[i * n + jb..i * n + jend];
-                for p in pb..pend {
-                    let av = arow[p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n + jb..p * n + jend];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-            pb = pend;
-        }
-        jb = jend;
-    }
-}
-
-/// The pre-tile row-loop kernels, kept verbatim as the A/B reference for the
-/// `tile_kernels` bench and the bit-identity property tests. These are the
-/// exact drivers the engine shipped with before the tiled core: row-range
-/// threading via [`for_output_row_ranges`], cache-blocked or rank-1 inner
-/// loops with zero-product skips.
-pub mod pretile {
-    use super::*;
-
-    /// Pre-tile `C = A(m×k) · B(k×n)`.
-    pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (m, k) = check2d(a)?;
-        let (kb, n) = check2d(b)?;
-        if k != kb {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs_cols: k,
-                rhs_rows: kb,
-            });
-        }
-        let mut c = Tensor::zeros([m, n]);
-        matmul_into(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
-        Ok(c)
-    }
-
-    /// Pre-tile `C += A·B` over raw slices (row-range threaded).
-    pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        for_output_row_ranges(c, m, n, m * k * n, |i0, rows, c_rows| {
-            blocked_rows(a, b, c_rows, i0, rows, k, n);
-        });
-    }
-
-    /// Pre-tile `C(m×n) = Aᵀ·B` with `A` `k×m`, `B` `k×n`.
-    pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (k, m) = check2d(a)?;
-        let (kb, n) = check2d(b)?;
-        if k != kb {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs_cols: m,
-                rhs_rows: kb,
-            });
-        }
-        let mut c = Tensor::zeros([m, n]);
-        let (ad, bd) = (a.as_slice(), b.as_slice());
-        for_output_row_ranges(c.as_mut_slice(), m, n, m * k * n, |i0, rows, c_rows| {
-            at_b_rows(ad, bd, c_rows, i0, rows, m, k, n);
-        });
-        Ok(c)
-    }
-
-    /// Pre-tile `C(m×n) = A·Bᵀ` with `A` `m×k`, `B` `n×k`.
-    pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (m, k) = check2d(a)?;
-        let (n, kb) = check2d(b)?;
-        if k != kb {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs_cols: k,
-                rhs_rows: kb,
-            });
-        }
-        let mut c = Tensor::zeros([m, n]);
-        let (ad, bd) = (a.as_slice(), b.as_slice());
-        for_output_row_ranges(c.as_mut_slice(), m, n, m * k * n, |i0, rows, c_rows| {
-            a_bt_rows(ad, bd, c_rows, i0, rows, k, n);
-        });
-        Ok(c)
-    }
-}
-
 /// Matrix–vector product `y = A(m×k) · x(k)`.
 pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
     let (m, k) = check2d(a)?;
@@ -341,22 +176,7 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k) = (a.dims()[0], a.dims()[1]);
-        let n = b.dims()[1];
-        let mut c = Tensor::zeros([m, n]);
-        for i in 0..m {
-            for j in 0..n {
-                let mut s = 0.0;
-                for p in 0..k {
-                    s += a.get(&[i, p]) * b.get(&[p, j]);
-                }
-                c.set(&[i, j], s);
-            }
-        }
-        c
-    }
+    use crate::reference;
 
     fn approx_eq(a: &Tensor, b: &Tensor, tol: f32) -> bool {
         a.dims() == b.dims()
@@ -380,7 +200,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let a = crate::init::uniform([70, 130], -1.0, 1.0, &mut rng);
         let b = crate::init::uniform([130, 65], -1.0, 1.0, &mut rng);
-        assert!(approx_eq(&matmul(&a, &b).unwrap(), &naive(&a, &b), 1e-4));
+        let want = reference::matmul(a.as_slice(), b.as_slice(), 70, 130, 65);
+        assert_eq!(matmul(&a, &b).unwrap().as_slice(), &want[..]);
     }
 
     #[test]
@@ -405,49 +226,27 @@ mod tests {
     fn transposed_variants_match_naive_triple_loop() {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(13);
-        // Include exact zeros so the `av == 0.0` skip branch is exercised.
+        // Include exact zeros so zero products ride the chain.
         let mut a = crate::init::uniform([33, 47], -1.0, 1.0, &mut rng);
         for v in a.as_mut_slice().iter_mut().step_by(3) {
             *v = 0.0;
         }
         let b = crate::init::uniform([33, 21], -1.0, 1.0, &mut rng);
-        let got = matmul_at_b(&a, &b).unwrap();
-        let (k, m) = (a.dims()[0], a.dims()[1]);
-        let n = b.dims()[1];
-        let mut want = Tensor::zeros([m, n]);
-        for i in 0..m {
-            for j in 0..n {
-                let mut s = 0.0;
-                for p in 0..k {
-                    s += a.get(&[p, i]) * b.get(&[p, j]);
-                }
-                want.set(&[i, j], s);
-            }
-        }
-        assert!(approx_eq(&got, &want, 1e-4));
+        let want = reference::matmul_at_b(a.as_slice(), b.as_slice(), 47, 33, 21);
+        assert_eq!(matmul_at_b(&a, &b).unwrap().as_slice(), &want[..]);
 
         let a2 = crate::init::uniform([17, 29], -1.0, 1.0, &mut rng);
         let b2 = crate::init::uniform([23, 29], -1.0, 1.0, &mut rng);
-        let got2 = matmul_a_bt(&a2, &b2).unwrap();
-        let (m2, k2) = (a2.dims()[0], a2.dims()[1]);
-        let n2 = b2.dims()[0];
-        let mut want2 = Tensor::zeros([m2, n2]);
-        for i in 0..m2 {
-            for j in 0..n2 {
-                let mut s = 0.0;
-                for p in 0..k2 {
-                    s += a2.get(&[i, p]) * b2.get(&[j, p]);
-                }
-                want2.set(&[i, j], s);
-            }
-        }
-        assert!(approx_eq(&got2, &want2, 1e-4));
+        let want2 = reference::matmul_a_bt(a2.as_slice(), b2.as_slice(), 17, 29, 23);
+        assert_eq!(matmul_a_bt(&a2, &b2).unwrap().as_slice(), &want2[..]);
     }
 
-    /// Products big enough to actually thread must equal the serial result
-    /// bit-for-bit (disjoint output rows, identical accumulation order).
+    /// Products big enough to actually thread must equal both the serial
+    /// run and the naive reference bit-for-bit (disjoint output tiles,
+    /// identical accumulation order).
     #[test]
     fn threaded_products_bit_identical_to_serial() {
+        use crate::parallel::run_serial;
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(14);
         // 96·80·96 ≈ 737k MACs — clears PAR_MIN_MACS.
@@ -455,45 +254,25 @@ mod tests {
         let b = crate::init::uniform([80, 96], -1.0, 1.0, &mut rng);
         let at = a.transpose2d().unwrap(); // 80×96
         let bt = b.transpose2d().unwrap(); // 96×80
+        let (ad, bd) = (a.as_slice(), b.as_slice());
 
-        // Serial references computed with threading structurally disabled by
-        // running the row-range bodies over the full range.
-        let mut c_ref = Tensor::zeros([96, 96]);
-        blocked_rows(
-            a.as_slice(),
-            b.as_slice(),
-            c_ref.as_mut_slice(),
-            0,
-            96,
-            80,
-            96,
-        );
-        assert_eq!(matmul(&a, &b).unwrap().as_slice(), c_ref.as_slice());
+        let want = reference::matmul(ad, bd, 96, 80, 96);
+        assert_eq!(matmul(&a, &b).unwrap().as_slice(), &want[..]);
+        assert_eq!(run_serial(|| matmul(&a, &b)).unwrap().as_slice(), &want[..]);
 
-        let mut atb_ref = Tensor::zeros([96, 96]);
-        at_b_rows(
-            at.as_slice(),
-            b.as_slice(),
-            atb_ref.as_mut_slice(),
-            0,
-            96,
-            96,
-            80,
-            96,
+        let want = reference::matmul_at_b(at.as_slice(), bd, 96, 80, 96);
+        assert_eq!(matmul_at_b(&at, &b).unwrap().as_slice(), &want[..]);
+        assert_eq!(
+            run_serial(|| matmul_at_b(&at, &b)).unwrap().as_slice(),
+            &want[..]
         );
-        assert_eq!(matmul_at_b(&at, &b).unwrap().as_slice(), atb_ref.as_slice());
 
-        let mut abt_ref = Tensor::zeros([96, 96]);
-        a_bt_rows(
-            a.as_slice(),
-            bt.as_slice(),
-            abt_ref.as_mut_slice(),
-            0,
-            96,
-            80,
-            96,
+        let want = reference::matmul_a_bt(ad, bt.as_slice(), 96, 80, 96);
+        assert_eq!(matmul_a_bt(&a, &bt).unwrap().as_slice(), &want[..]);
+        assert_eq!(
+            run_serial(|| matmul_a_bt(&a, &bt)).unwrap().as_slice(),
+            &want[..]
         );
-        assert_eq!(matmul_a_bt(&a, &bt).unwrap().as_slice(), abt_ref.as_slice());
     }
 
     #[test]

@@ -213,7 +213,7 @@ pub fn gather_conv_fwd(
 /// Builds per-row fired-position lists (CSR of `col`, one streaming pass,
 /// indices from `pool`), then accumulates `gy[f, p]` over fired `p` ascending
 /// — the op sequence of the dense `dW` loop in
-/// [`crate::ops::conv::conv2d_backward_pooled`], so results are
+/// [`crate::ops::conv::conv2d_backward`], so results are
 /// bit-identical. Serial by design (called per sample from parallel block
 /// workers).
 ///
@@ -367,7 +367,7 @@ mod tests {
         let pool = ScratchPool::new();
         for density in [0.0, 0.05, 0.5, 1.0] {
             let col = spike_tensor(cr, spatial, density, &mut rng);
-            // The dense dW loop from conv2d_backward_pooled.
+            // The dense dW chain of `reference::conv2d_backward`.
             let mut dense = vec![0.0f32; f_out * cr];
             for f in 0..f_out {
                 let gyrow = &gy.as_slice()[f * spatial..(f + 1) * spatial];

@@ -17,15 +17,15 @@
 //! `acc += a·b` additions in **ascending k order**: the `KC` slabs advance
 //! in order, the micro-kernel walks `p` ascending within a slab, and the
 //! accumulator round-trips through `C` between slabs (an exact f32
-//! store/load). This is precisely the per-element chain of the pre-tile
-//! kernels (`blocked_rows`, `at_b_rows`, `a_bt_rows`, the im2col conv and
-//! the spike/CSR gathers): their zero-product skips are exact no-ops on a
-//! `+0.0`-seeded chain, and their local-accumulator-then-store shape equals
-//! the direct chain when `C` starts at zero. Tiles own disjoint output
-//! regions and the tile→thread assignment carries no state, so results are
-//! bit-identical for any `NDSNN_THREADS` / `NDSNN_MIN_TILE_WORK` setting
-//! *and* vs the pre-tile kernels. Epilogues apply after a tile's final slab,
-//! exactly where the unfused post-passes ran.
+//! store/load). This is precisely the per-element chain of the naive
+//! [`crate::reference`] kernels, and of the spike/CSR gathers: their
+//! zero-product skips are exact no-ops on a `+0.0`-seeded chain, and their
+//! local-accumulator-then-store shape equals the direct chain when `C`
+//! starts at zero. Tiles own disjoint output regions and the tile→thread
+//! assignment carries no state, so results are bit-identical for any
+//! `NDSNN_THREADS` / `NDSNN_MIN_TILE_WORK` setting *and* to the reference.
+//! Epilogues apply after a tile's final slab, exactly where the unfused
+//! post-passes ran.
 //!
 //! # Dispatch granularity
 //!
@@ -594,21 +594,8 @@ pub fn conv_fwd_tiled<E: TileEpilogue>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::matmul as naive;
     use rand::{rngs::StdRng, SeedableRng};
-
-    fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut c = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut s = 0.0f32;
-                for p in 0..k {
-                    s += a[i * k + p] * b[p * n + j];
-                }
-                c[i * n + j] = s;
-            }
-        }
-        c
-    }
 
     fn rand_vec(len: usize, rng: &mut StdRng) -> Vec<f32> {
         crate::init::uniform([len], -1.0, 1.0, rng)

@@ -1,9 +1,13 @@
 //! Property-based tests for the tensor substrate.
 
-use ndsnn_tensor::ops::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
+use ndsnn_tensor::ops::conv::{
+    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvKernel,
+};
 use ndsnn_tensor::ops::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use ndsnn_tensor::ops::reduce::{cross_entropy_with_grad, softmax};
+use ndsnn_tensor::ops::tile::NoEpilogue;
 use ndsnn_tensor::ops::topk::{bottom_k_indices, top_k_indices};
+use ndsnn_tensor::scratch::ScratchPool;
 use ndsnn_tensor::{serialize, Tensor};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,6 +18,21 @@ fn finite_f32() -> impl Strategy<Value = f32> {
 
 fn tensor_1d(max_len: usize) -> impl Strategy<Value = Tensor> {
     vec(finite_f32(), 1..=max_len).prop_map(|d| Tensor::from_slice(&d))
+}
+
+/// Dense forward with no epilogue.
+fn fwd(x: &Tensor, w: &Tensor, g: &Conv2dGeometry) -> ndsnn_tensor::Result<Tensor> {
+    conv2d_forward(x, w, g, ConvKernel::Dense, &NoEpilogue, &ScratchPool::new())
+}
+
+/// Dense backward.
+fn bwd(
+    x: &Tensor,
+    w: &Tensor,
+    gy: &Tensor,
+    g: &Conv2dGeometry,
+) -> ndsnn_tensor::Result<ndsnn_tensor::ops::conv::Conv2dGrads> {
+    conv2d_backward(x, w, gy, g, &ConvBackward::default(), &ScratchPool::new())
 }
 
 proptest! {
@@ -133,9 +152,9 @@ proptest! {
         let x = ndsnn_tensor::init::uniform([1, 2, 5, 5], -1.0, 1.0, &mut rng);
         let y = ndsnn_tensor::init::uniform([1, 2, 5, 5], -1.0, 1.0, &mut rng);
         let w = ndsnn_tensor::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
-        let fxy = conv2d_forward(&x.add(&y).unwrap(), &w, None, &g).unwrap();
-        let fx = conv2d_forward(&x, &w, None, &g).unwrap();
-        let fy = conv2d_forward(&y, &w, None, &g).unwrap();
+        let fxy = fwd(&x.add(&y).unwrap(), &w, &g).unwrap();
+        let fx = fwd(&x, &w, &g).unwrap();
+        let fy = fwd(&y, &w, &g).unwrap();
         let sum = fx.add(&fy).unwrap();
         for (a, b) in fxy.as_slice().iter().zip(sum.as_slice()) {
             prop_assert!((a - b).abs() < 1e-3, "{} vs {}", a, b);
@@ -186,16 +205,16 @@ proptest! {
         let x = ndsnn_tensor::init::uniform([b, cin, 7, 7], -1.0, 1.0, &mut rng);
         let w = ndsnn_tensor::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
 
-        let fwd = conv2d_forward(&x, &w, None, &g).unwrap();
-        let fwd_serial = run_serial(|| conv2d_forward(&x, &w, None, &g)).unwrap();
-        prop_assert_eq!(fwd.as_slice(), fwd_serial.as_slice());
+        let y = fwd(&x, &w, &g).unwrap();
+        let y_serial = run_serial(|| fwd(&x, &w, &g)).unwrap();
+        prop_assert_eq!(y.as_slice(), y_serial.as_slice());
 
-        let gy = ndsnn_tensor::init::uniform(fwd.shape().clone(), -1.0, 1.0, &mut rng);
-        let bwd = conv2d_backward(&x, &w, &gy, &g).unwrap();
-        let bwd_serial = run_serial(|| conv2d_backward(&x, &w, &gy, &g)).unwrap();
-        prop_assert_eq!(bwd.input_grad.as_slice(), bwd_serial.input_grad.as_slice());
-        prop_assert_eq!(bwd.weight_grad.as_slice(), bwd_serial.weight_grad.as_slice());
-        prop_assert_eq!(bwd.bias_grad.as_slice(), bwd_serial.bias_grad.as_slice());
+        let gy = ndsnn_tensor::init::uniform(y.shape().clone(), -1.0, 1.0, &mut rng);
+        let grads = bwd(&x, &w, &gy, &g).unwrap();
+        let grads_serial = run_serial(|| bwd(&x, &w, &gy, &g)).unwrap();
+        prop_assert_eq!(grads.input_grad.as_slice(), grads_serial.input_grad.as_slice());
+        prop_assert_eq!(grads.weight_grad.as_slice(), grads_serial.weight_grad.as_slice());
+        prop_assert_eq!(grads.bias_grad.as_slice(), grads_serial.bias_grad.as_slice());
     }
 
     #[test]
@@ -206,9 +225,9 @@ proptest! {
         let g = Conv2dGeometry::square(2, 2, 3, 2, 1);
         let x = ndsnn_tensor::init::uniform([2, 2, 6, 6], -1.0, 1.0, &mut rng);
         let w = ndsnn_tensor::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
-        let y = conv2d_forward(&x, &w, None, &g).unwrap();
+        let y = fwd(&x, &w, &g).unwrap();
         let gy = ndsnn_tensor::init::uniform(y.shape().clone(), -1.0, 1.0, &mut rng);
-        let grads = conv2d_backward(&x, &w, &gy, &g).unwrap();
+        let grads = bwd(&x, &w, &gy, &g).unwrap();
         let lhs = y.dot(&gy).unwrap();
         let rhs = x.dot(&grads.input_grad).unwrap();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "{} vs {}", lhs, rhs);
@@ -301,8 +320,6 @@ proptest! {
         density_sel in 0usize..4,
         seed in 0u64..300,
     ) {
-        use ndsnn_tensor::ops::conv::{conv2d_backward_exec, conv2d_forward_exec};
-        use ndsnn_tensor::scratch::ScratchPool;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let density = [0.0, 0.05, 0.5, 1.0][density_sel];
         let mut rng = StdRng::seed_from_u64(seed);
@@ -317,13 +334,18 @@ proptest! {
         let w = ndsnn_tensor::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
         let pool = ScratchPool::new();
 
-        let dense = conv2d_forward_exec(&x, &w, None, &g, &pool, None, false).unwrap();
-        let spike = conv2d_forward_exec(&x, &w, None, &g, &pool, None, true).unwrap();
+        let dense = fwd(&x, &w, &g).unwrap();
+        let spike =
+            conv2d_forward(&x, &w, &g, ConvKernel::SpikeGather, &NoEpilogue, &pool).unwrap();
         prop_assert_eq!(dense.as_slice(), spike.as_slice());
 
         let gy = ndsnn_tensor::init::uniform(dense.shape().clone(), -1.0, 1.0, &mut rng);
-        let bd = conv2d_backward_exec(&x, &w, &gy, &g, &pool, None, false, None).unwrap();
-        let bs = conv2d_backward_exec(&x, &w, &gy, &g, &pool, None, true, None).unwrap();
+        let gather = ConvBackward {
+            spike_gather_dw: true,
+            ..ConvBackward::default()
+        };
+        let bd = bwd(&x, &w, &gy, &g).unwrap();
+        let bs = conv2d_backward(&x, &w, &gy, &g, &gather, &pool).unwrap();
         prop_assert_eq!(bd.weight_grad.as_slice(), bs.weight_grad.as_slice());
         prop_assert_eq!(bd.bias_grad.as_slice(), bs.bias_grad.as_slice());
         prop_assert_eq!(bd.input_grad.as_slice(), bs.input_grad.as_slice());

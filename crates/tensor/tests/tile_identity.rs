@@ -1,26 +1,27 @@
 //! Property tests pinning the tiled kernel core's bit-identity contract.
 //!
-//! The tiled GEMM/conv core promises the *same f32 accumulation chain* as a
-//! naive `+0.0`-seeded ascending-k loop, for every shape (including ragged
-//! edges that exercise panel zero-padding), every thread count, and with or
-//! without a fused epilogue. These tests check `to_bits()` equality — not an
-//! epsilon — against both a naive reference and the retired pre-tile row
-//! kernels (`pretile` modules), across forced tile-parallel dispatch.
+//! The tiled GEMM/conv core promises the *same f32 operation sequence* as
+//! the naive [`ndsnn_tensor::reference`] kernels, for every shape (including
+//! ragged edges that exercise panel zero-padding), every thread count, and
+//! with or without a fused epilogue. These tests check `to_bits()` equality
+//! — not an epsilon — against the reference at threads {1, 2, 4} under
+//! forced tile-parallel dispatch.
 
 use std::sync::Mutex;
 
 use ndsnn_tensor::ops::conv::{
-    conv2d_backward, conv2d_forward, conv2d_forward_with_epilogue, pretile as conv_pretile,
-    Conv2dGeometry,
+    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvKernel,
 };
-use ndsnn_tensor::ops::matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_epilogue, matmul_at_b, pretile as mm_pretile,
+use ndsnn_tensor::ops::matmul::{matmul, matmul_a_bt, matmul_a_bt_epilogue, matmul_at_b};
+use ndsnn_tensor::ops::tile::{
+    set_min_tile_work_override, AffineRow, BiasCol, BiasRow, NoEpilogue,
 };
-use ndsnn_tensor::ops::tile::{set_min_tile_work_override, BiasCol, BiasRow};
 use ndsnn_tensor::parallel::set_thread_override;
+use ndsnn_tensor::reference;
 use ndsnn_tensor::scratch::ScratchPool;
+use ndsnn_tensor::{Csr, Tensor};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The thread/min-work overrides are process globals; property tests run on
 /// multiple test threads, so every test that flips them holds this lock.
@@ -45,21 +46,6 @@ impl Drop for ForceTiling {
     }
 }
 
-/// The contract's reference: `+0.0`-seeded, ascending-k serial chain.
-fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a[i * k + p] * b[p * n + j];
-            }
-            c[i * n + j] = acc;
-        }
-    }
-    c
-}
-
 fn assert_bits(label: &str, got: &[f32], want: &[f32]) -> std::result::Result<(), TestCaseError> {
     prop_assert!(got.len() == want.len(), "{}: length mismatch", label);
     for (i, (x, y)) in got.iter().zip(want).enumerate() {
@@ -79,10 +65,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// All three tiled matmul entry points must be bit-identical to the
-    /// naive chain AND the pre-tile row kernels on arbitrary (odd) shapes,
-    /// serial and under forced tile-parallel dispatch.
+    /// reference on arbitrary (odd) shapes, serial and under forced
+    /// tile-parallel dispatch.
     #[test]
-    fn tiled_matmul_bit_identical_to_naive_and_pretile(
+    fn tiled_matmul_bit_identical_to_reference(
         m in 1usize..90, k in 1usize..70, n in 1usize..90, seed in 0u64..1000,
     ) {
         let _guard = OVERRIDES.lock().unwrap();
@@ -91,35 +77,23 @@ proptest! {
         let b = ndsnn_tensor::init::uniform([k, n], -1.0, 1.0, &mut rng);
         let at = a.transpose2d().unwrap();
         let bt = b.transpose2d().unwrap();
-        let naive = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
+        let want = reference::matmul(a.as_slice(), b.as_slice(), m, k, n);
+        let want_at_b = reference::matmul_at_b(at.as_slice(), b.as_slice(), m, k, n);
+        let want_a_bt = reference::matmul_a_bt(a.as_slice(), bt.as_slice(), m, k, n);
 
         for threads in [1usize, 2, 4] {
             let _force = ForceTiling::new(threads);
-            let c = matmul(&a, &b).unwrap();
-            assert_bits("matmul vs naive", c.as_slice(), &naive)?;
-            assert_bits(
-                "matmul vs pretile",
-                c.as_slice(),
-                mm_pretile::matmul(&a, &b).unwrap().as_slice(),
-            )?;
-            assert_bits(
-                "matmul_at_b vs pretile",
-                matmul_at_b(&at, &b).unwrap().as_slice(),
-                mm_pretile::matmul_at_b(&at, &b).unwrap().as_slice(),
-            )?;
-            assert_bits(
-                "matmul_a_bt vs pretile",
-                matmul_a_bt(&a, &bt).unwrap().as_slice(),
-                mm_pretile::matmul_a_bt(&a, &bt).unwrap().as_slice(),
-            )?;
+            assert_bits("matmul", matmul(&a, &b).unwrap().as_slice(), &want)?;
+            assert_bits("matmul_at_b", matmul_at_b(&at, &b).unwrap().as_slice(), &want_at_b)?;
+            assert_bits("matmul_a_bt", matmul_a_bt(&a, &bt).unwrap().as_slice(), &want_a_bt)?;
         }
     }
 
-    /// Implicit-GEMM conv forward and backward must be bit-identical to the
-    /// pre-tile explicit-im2col kernels on odd geometries, serial and under
+    /// Implicit-GEMM conv forward (with bias) and backward must be
+    /// bit-identical to the reference on odd geometries, serial and under
     /// forced tile-parallel dispatch.
     #[test]
-    fn tiled_conv_fwd_bwd_bit_identical_to_pretile(
+    fn tiled_conv_fwd_bwd_bit_identical_to_reference(
         b in 1usize..5, cin in 1usize..4, f in 1usize..6,
         hw in 5usize..10, stride in 1usize..3, padding in 0usize..2,
         seed in 0u64..1000,
@@ -133,15 +107,16 @@ proptest! {
         let bias = ndsnn_tensor::init::uniform([f], -1.0, 1.0, &mut rng);
         let pool = ScratchPool::new();
 
-        let want_fwd = conv_pretile::conv2d_forward(&x, &w, Some(&bias), &g, &pool).unwrap();
+        let want_fwd = reference::conv2d_forward(&x, &w, Some(bias.as_slice()), &g);
         let gy = ndsnn_tensor::init::uniform(want_fwd.shape().clone(), -1.0, 1.0, &mut rng);
-        let want_bwd = conv_pretile::conv2d_backward(&x, &w, &gy, &g, &pool).unwrap();
+        let want_bwd = reference::conv2d_backward(&x, &w, &gy, &g);
 
         for threads in [1usize, 2, 4] {
             let _force = ForceTiling::new(threads);
-            let fwd = conv2d_forward(&x, &w, Some(&bias), &g).unwrap();
+            let epi = BiasRow(bias.as_slice());
+            let fwd = conv2d_forward(&x, &w, &g, ConvKernel::Dense, &epi, &pool).unwrap();
             assert_bits("conv fwd", fwd.as_slice(), want_fwd.as_slice())?;
-            let bwd = conv2d_backward(&x, &w, &gy, &g).unwrap();
+            let bwd = conv2d_backward(&x, &w, &gy, &g, &ConvBackward::default(), &pool).unwrap();
             assert_bits("conv dW", bwd.weight_grad.as_slice(), want_bwd.weight_grad.as_slice())?;
             assert_bits("conv dX", bwd.input_grad.as_slice(), want_bwd.input_grad.as_slice())?;
             assert_bits("conv db", bwd.bias_grad.as_slice(), want_bwd.bias_grad.as_slice())?;
@@ -181,11 +156,70 @@ proptest! {
             assert_bits("BiasCol", fused.as_slice(), unfused.as_slice())?;
 
             // Conv: fused per-channel bias vs unfused conv + bias pass.
-            let fused = conv2d_forward_with_epilogue(
-                &x, &w, &g, &BiasRow(cbias.as_slice()), &pool,
+            let fused = conv2d_forward(
+                &x, &w, &g, ConvKernel::Dense, &BiasRow(cbias.as_slice()), &pool,
             ).unwrap();
-            let unfused = conv2d_forward(&x, &w, Some(&cbias), &g).unwrap();
+            let mut unfused =
+                conv2d_forward(&x, &w, &g, ConvKernel::Dense, &NoEpilogue, &pool).unwrap();
+            for (i, v) in unfused.as_mut_slice().iter_mut().enumerate() {
+                *v += cbias.as_slice()[i / 49 % 3];
+            }
             assert_bits("BiasRow", fused.as_slice(), unfused.as_slice())?;
+        }
+    }
+
+    /// The sparse forward kernels apply the epilogue per output-channel row
+    /// of each sample, after the full accumulation: on a binary input and a
+    /// weight that is zero off its plan, `WeightPlan` and `SpikeGather` with
+    /// a frozen-BatchNorm affine (conv bias folded in) must give the bits of
+    /// `Dense` with the same epilogue fused per tile.
+    #[test]
+    fn sparse_conv_kernels_with_affine_epilogue_bit_identical_to_dense(
+        b in 1usize..4, cin in 1usize..4, f in 1usize..6, density_sel in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let _guard = OVERRIDES.lock().unwrap();
+        let density = [0.0, 0.1, 0.5, 1.0][density_sel];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = Conv2dGeometry::square(cin, f, 3, 1, 1);
+        let x = Tensor::from_vec(
+            [b, cin, 6, 6],
+            (0..b * cin * 36).map(|_| f32::from(rng.gen_bool(density))).collect(),
+        )
+        .unwrap();
+        let mut w = ndsnn_tensor::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
+        let mask: Vec<f32> = (0..w.len()).map(|_| f32::from(rng.gen_bool(0.3))).collect();
+        for (wv, m) in w.as_mut_slice().iter_mut().zip(&mask) {
+            *wv *= m;
+        }
+        let pat = Csr::from_mask(f, g.col_rows(), &mask);
+        let per_channel = |lo: f32, hi: f32, rng: &mut StdRng| {
+            ndsnn_tensor::init::uniform([f], lo, hi, rng).as_slice().to_vec()
+        };
+        let bias = per_channel(-1.0, 1.0, &mut rng);
+        let mean = per_channel(-1.0, 1.0, &mut rng);
+        let inv_std = per_channel(0.5, 2.0, &mut rng);
+        let gamma = per_channel(-2.0, 2.0, &mut rng);
+        let beta = per_channel(-1.0, 1.0, &mut rng);
+        let epi = AffineRow {
+            bias: Some(&bias),
+            mean: &mean,
+            inv_std: &inv_std,
+            gamma: &gamma,
+            beta: &beta,
+        };
+        let pool = ScratchPool::new();
+
+        for threads in [1usize, 2, 4] {
+            let _force = ForceTiling::new(threads);
+            let dense = conv2d_forward(&x, &w, &g, ConvKernel::Dense, &epi, &pool).unwrap();
+            for (label, kernel) in [
+                ("weight plan", ConvKernel::WeightPlan(&pat)),
+                ("spike gather", ConvKernel::SpikeGather),
+            ] {
+                let got = conv2d_forward(&x, &w, &g, kernel, &epi, &pool).unwrap();
+                assert_bits(label, got.as_slice(), dense.as_slice())?;
+            }
         }
     }
 }
@@ -200,16 +234,16 @@ fn ragged_shape_under_forced_parallelism() {
     let (m, k, n) = (131, 259, 67);
     let a = ndsnn_tensor::init::uniform([m, k], -1.0, 1.0, &mut rng);
     let b = ndsnn_tensor::init::uniform([k, n], -1.0, 1.0, &mut rng);
-    let naive = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
+    let want = reference::matmul(a.as_slice(), b.as_slice(), m, k, n);
     for threads in [1usize, 2, 4] {
         let _force = ForceTiling::new(threads);
         let c = matmul(&a, &b).unwrap();
         assert!(
             c.as_slice()
                 .iter()
-                .zip(&naive)
+                .zip(&want)
                 .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "threads={threads} diverged from the naive chain"
+            "threads={threads} diverged from the reference"
         );
     }
 }
