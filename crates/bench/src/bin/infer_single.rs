@@ -46,6 +46,7 @@ use ndsnn_infer::{
     Artifact, BatchPolicy, Executor, Fleet, FleetOptions, InferError, ModelRegistry, Router,
     ServeOptions, Server,
 };
+use ndsnn_metrics::fleet::{percentile, FleetRollup};
 use ndsnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -109,6 +110,12 @@ struct FleetReport {
     fleet_requests: u64,
     fleet_submitted: u64,
     accounting_ok: bool,
+}
+
+/// Nearest-rank percentile of `samples` in whole microseconds (0 when
+/// nothing was recorded).
+fn percentile_us(samples: &[Duration], q: f64) -> u64 {
+    percentile(samples, q).as_micros() as u64
 }
 
 /// Fleet mode: register every artifact in `dir`, serve the selected names
@@ -202,23 +209,24 @@ fn run_fleet(
             .map(|(g, img)| (g, img.clone()))
             .collect();
         handles.push(std::thread::spawn(move || {
-            let mut rollup = ndsnn_metrics::fleet::FleetRollup::new();
+            let mut rollup = FleetRollup::new();
             for (g, img) in &mine {
                 let name = &names[g % names.len()];
                 match router.infer(name, img) {
                     Ok(reply) => rollup.model(name).record(reply.latency),
+                    // Counted per shard in the report's `ServeStats`.
                     Err(
                         InferError::DeadlineExceeded
                         | InferError::Overloaded
                         | InferError::ExecutorFault(_),
-                    ) => rollup.model(name).record_error(),
+                    ) => {}
                     Err(e) => panic!("infer {name} failed: {e}"),
                 }
             }
             rollup
         }));
     }
-    let mut rollup = ndsnn_metrics::fleet::FleetRollup::new();
+    let mut rollup = FleetRollup::new();
     for h in handles {
         rollup.absorb(&h.join().expect("client thread"));
     }
@@ -229,23 +237,7 @@ fn run_fleet(
     let mut models = Vec::new();
     for (i, name) in names.iter().enumerate() {
         let m = &stats.per_model[name];
-        let sorted = {
-            let mut v: Vec<u64> = rollup
-                .model(name)
-                .samples()
-                .iter()
-                .map(|d| d.as_micros() as u64)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let pct = |p: f64| -> u64 {
-            if sorted.is_empty() {
-                0
-            } else {
-                sorted[((sorted.len() as f64 - 1.0) * p).round() as usize]
-            }
-        };
+        let samples = rollup.model(name).samples();
         let arch = registry
             .get(name)
             .map(|a| a.manifest.arch.clone())
@@ -264,9 +256,9 @@ fn run_fleet(
             restarts: m.serve.restarts,
             faulted: m.serve.faulted,
             bad_inputs: m.serve.bad_inputs,
-            latency_p50_us: pct(0.5),
-            latency_p95_us: pct(0.95),
-            latency_max_us: pct(1.0),
+            latency_p50_us: percentile_us(samples, 0.5),
+            latency_p95_us: percentile_us(samples, 0.95),
+            latency_max_us: percentile_us(samples, 1.0),
         });
     }
     let report = FleetReport {
@@ -392,7 +384,7 @@ fn main() {
             let mut latencies = Vec::with_capacity(mine.len());
             for img in &mine {
                 match server.infer(img) {
-                    Ok(reply) => latencies.push(reply.latency.as_micros() as u64),
+                    Ok(reply) => latencies.push(reply.latency),
                     // Typed control-plane outcomes are expected under
                     // deadline/overload pressure and show up in the
                     // report's counters.
@@ -407,20 +399,12 @@ fn main() {
             latencies
         }));
     }
-    let mut latencies: Vec<u64> = handles
+    let latencies: Vec<Duration> = handles
         .into_iter()
         .flat_map(|h| h.join().expect("client thread"))
         .collect();
-    latencies.sort_unstable();
     let stats = server.stats();
     server.shutdown();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
-    };
 
     // Per-layer time from a clean single-batch executor pass.
     let mut exec = Executor::new(Arc::clone(&artifact));
@@ -452,9 +436,9 @@ fn main() {
         restarts: stats.restarts,
         faulted: stats.faulted,
         bad_inputs: stats.bad_inputs,
-        latency_p50_us: pct(0.5),
-        latency_p95_us: pct(0.95),
-        latency_max_us: pct(1.0),
+        latency_p50_us: percentile_us(&latencies, 0.5),
+        latency_p95_us: percentile_us(&latencies, 0.95),
+        latency_max_us: percentile_us(&latencies, 1.0),
         layer_ns,
     };
     println!(

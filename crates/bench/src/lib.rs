@@ -10,7 +10,6 @@
 use ndsnn::profile::Profile;
 
 pub mod synth;
-pub mod traffic;
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,5 +1,4 @@
-//! Synthetic sparse-network substrates for the quantization gates and
-//! benches.
+//! Synthetic sparse-network substrates for the quantization gates.
 //!
 //! The quant parity gate needs a Small VGG-16 whose deep LIF layers
 //! actually fire: a freshly initialized net is useless twice over —

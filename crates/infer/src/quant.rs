@@ -92,7 +92,7 @@ impl IndexEncoding {
         }
     }
 
-    /// Human-readable name (used in size tables and bench JSON).
+    /// Human-readable name (used in size tables).
     pub fn label(self) -> &'static str {
         match self {
             IndexEncoding::Bitmap => "bitmap",

@@ -1226,11 +1226,18 @@ mod tests {
             },
         );
         let err = server.infer(&image).unwrap_err();
+        let faulted_at = Instant::now();
         assert!(matches!(err, InferError::ExecutorFault(_)), "{err}");
         assert!(err.to_string().contains("injected executor fault"));
         // The server recovered: same request now succeeds with the exact
-        // same bits a never-faulted server produces.
+        // same bits a never-faulted server produces, within the 1 s
+        // recovery bound (fault reply to next successful reply).
         let reply = server.infer(&image).unwrap();
+        let recovery = faulted_at.elapsed();
+        assert!(
+            recovery < Duration::from_secs(1),
+            "recovery took {recovery:?}"
+        );
         for (a, b) in clean.logits.iter().zip(&reply.logits) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1347,6 +1354,7 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.requests, 24);
         assert_eq!(stats.submitted, 24);
+        assert_eq!(stats.shed, 0, "24 clients never fill the queue");
         stats.accounting_identity().expect("quiescent identity");
     }
 

@@ -1,15 +1,13 @@
-//! Per-model latency/outcome rollups for multi-model serving.
+//! Per-model latency rollups for multi-model serving.
 //!
-//! The serving fleet reports raw counters per shard; this module turns
-//! recorded request latencies into the percentile summaries the SLO gates
-//! and the `bench_fleet.json` record need — per model and fleet-wide.
-//! Percentiles are nearest-rank over the recorded samples (no
-//! interpolation: a reported p99 is a latency some request actually saw).
+//! The serving fleet reports outcome counters per shard; this module
+//! collects the client-side request latencies (per model, mergeable across
+//! client threads) and reduces them with one percentile rule. Percentiles are
+//! nearest-rank over the recorded samples (no interpolation: a reported
+//! p99 is a latency some request actually saw).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-use crate::table::TextTable;
 
 /// Nearest-rank percentile over an unsorted slice; `q` in `[0, 1]`.
 /// Returns `Duration::ZERO` on an empty slice.
@@ -23,36 +21,10 @@ pub fn percentile(samples: &[Duration], q: f64) -> Duration {
     sorted[rank - 1]
 }
 
-/// Latency percentiles + outcome counts for one model (or the fleet).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RollupSummary {
-    /// Successful requests with a recorded latency.
-    pub ok: u64,
-    /// Requests that ended in any typed error.
-    pub errors: u64,
-    /// Median latency.
-    pub p50: Duration,
-    /// 99th percentile latency.
-    pub p99: Duration,
-    /// 99.9th percentile latency.
-    pub p999: Duration,
-    /// Largest recorded latency.
-    pub max: Duration,
-}
-
-impl RollupSummary {
-    /// The tail-amplification SLO used by the serving gates:
-    /// `p99 < factor × p50`. Trivially true when nothing was recorded.
-    pub fn tail_within(&self, factor: f64) -> bool {
-        self.ok == 0 || self.p99.as_secs_f64() < factor * self.p50.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Accumulates latencies and outcomes for one model.
+/// Accumulates latencies for one model.
 #[derive(Debug, Clone, Default)]
 pub struct ModelRollup {
     samples: Vec<Duration>,
-    errors: u64,
 }
 
 impl ModelRollup {
@@ -61,35 +33,13 @@ impl ModelRollup {
         self.samples.push(latency);
     }
 
-    /// Records a request that ended in a typed error.
-    pub fn record_error(&mut self) {
-        self.errors = self.errors.saturating_add(1);
-    }
-
     /// The raw recorded latencies, in arrival order.
     pub fn samples(&self) -> &[Duration] {
         &self.samples
     }
-
-    /// Requests recorded as errors so far.
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    /// Summarizes what has been recorded so far.
-    pub fn summary(&self) -> RollupSummary {
-        RollupSummary {
-            ok: self.samples.len() as u64,
-            errors: self.errors,
-            p50: percentile(&self.samples, 0.50),
-            p99: percentile(&self.samples, 0.99),
-            p999: percentile(&self.samples, 0.999),
-            max: self.samples.iter().copied().max().unwrap_or(Duration::ZERO),
-        }
-    }
 }
 
-/// Per-model rollups plus a fleet-wide aggregate, keyed by model name.
+/// Per-model rollups, keyed by model name.
 #[derive(Debug, Clone, Default)]
 pub struct FleetRollup {
     models: BTreeMap<String, ModelRollup>,
@@ -106,73 +56,12 @@ impl FleetRollup {
         self.models.entry(model.to_string()).or_default()
     }
 
-    /// Model names seen so far, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.models.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// The rollup for `model`, if anything was recorded for it.
-    pub fn get(&self, model: &str) -> Option<&ModelRollup> {
-        self.models.get(model)
-    }
-
-    /// Folds another rollup's samples and error counts into this one
-    /// (per-worker rollups merging into a run-wide one).
+    /// Folds another rollup's samples into this one (per-worker rollups
+    /// merging into a run-wide one).
     pub fn absorb(&mut self, other: &FleetRollup) {
         for (name, m) in &other.models {
-            let mine = self.models.entry(name.clone()).or_default();
-            mine.samples.extend_from_slice(&m.samples);
-            mine.errors = mine.errors.saturating_add(m.errors);
+            self.model(name).samples.extend_from_slice(&m.samples);
         }
-    }
-
-    /// Per-model summaries, keyed by name.
-    pub fn summaries(&self) -> BTreeMap<String, RollupSummary> {
-        self.models
-            .iter()
-            .map(|(name, m)| (name.clone(), m.summary()))
-            .collect()
-    }
-
-    /// Fleet-wide summary: percentiles over *all* models' samples pooled
-    /// (not an average of per-model percentiles, which would understate
-    /// the tail of unpopular models).
-    pub fn fleet_summary(&self) -> RollupSummary {
-        let mut all: Vec<Duration> = Vec::new();
-        let mut errors = 0u64;
-        for m in self.models.values() {
-            all.extend_from_slice(&m.samples);
-            errors = errors.saturating_add(m.errors);
-        }
-        RollupSummary {
-            ok: all.len() as u64,
-            errors,
-            p50: percentile(&all, 0.50),
-            p99: percentile(&all, 0.99),
-            p999: percentile(&all, 0.999),
-            max: all.iter().copied().max().unwrap_or(Duration::ZERO),
-        }
-    }
-
-    /// Renders a per-model + fleet table (latencies in microseconds).
-    pub fn table(&self, title: &str) -> TextTable {
-        let mut t = TextTable::new(title).header(&[
-            "model", "ok", "errors", "p50_us", "p99_us", "p999_us", "max_us",
-        ]);
-        let mut rows: Vec<(String, RollupSummary)> = self.summaries().into_iter().collect();
-        rows.push(("<fleet>".to_string(), self.fleet_summary()));
-        for (name, s) in rows {
-            t.row(vec![
-                name,
-                s.ok.to_string(),
-                s.errors.to_string(),
-                s.p50.as_micros().to_string(),
-                s.p99.as_micros().to_string(),
-                s.p999.as_micros().to_string(),
-                s.max.as_micros().to_string(),
-            ]);
-        }
-        t
     }
 }
 
@@ -191,41 +80,24 @@ mod tests {
         assert_eq!(percentile(&samples, 0.99), ms(99));
         assert_eq!(percentile(&samples, 0.999), ms(100));
         assert_eq!(percentile(&samples, 0.0), ms(1), "q=0 clamps to rank 1");
+        assert_eq!(percentile(&samples, 1.0), ms(100), "q=1 is the maximum");
+        // Two samples: the median is the smaller one (rank ceil(0.5·2) = 1).
+        assert_eq!(percentile(&[ms(2), ms(1)], 0.5), ms(1));
         assert_eq!(percentile(&[], 0.5), Duration::ZERO);
     }
 
     #[test]
-    fn rollup_summarizes_per_model_and_fleet() {
-        let mut fleet = FleetRollup::new();
-        for i in 1..=10 {
-            fleet.model("hot").record(ms(i));
-        }
-        fleet.model("cold").record(ms(1000));
-        fleet.model("cold").record_error();
+    fn absorb_merges_samples_per_model_in_order() {
+        let mut a = FleetRollup::new();
+        a.model("hot").record(ms(1));
+        a.model("cold").record(ms(7));
+        let mut b = FleetRollup::new();
+        b.model("hot").record(ms(2));
 
-        let per = fleet.summaries();
-        assert_eq!(per["hot"].ok, 10);
-        assert_eq!(per["hot"].p50, ms(5));
-        assert_eq!(per["cold"].errors, 1);
-
-        // Pooled fleet percentiles surface the unpopular model's tail.
-        let all = fleet.fleet_summary();
-        assert_eq!(all.ok, 11);
-        assert_eq!(all.errors, 1);
-        assert_eq!(all.max, ms(1000));
-        assert_eq!(all.p999, ms(1000));
-        assert!(!all.tail_within(10.0), "1000ms tail vs 6ms median");
-        assert!(per["hot"].tail_within(10.0));
-    }
-
-    #[test]
-    fn table_has_one_row_per_model_plus_fleet() {
-        let mut fleet = FleetRollup::new();
-        fleet.model("a").record(ms(1));
-        fleet.model("b").record(ms(2));
-        let t = fleet.table("fleet");
-        assert_eq!(t.num_rows(), 3);
-        let rendered = t.render();
-        assert!(rendered.contains("<fleet>"));
+        let mut all = FleetRollup::new();
+        all.absorb(&a);
+        all.absorb(&b);
+        assert_eq!(all.model("hot").samples(), &[ms(1), ms(2)]);
+        assert_eq!(all.model("cold").samples(), &[ms(7)]);
     }
 }

@@ -10,8 +10,8 @@
 //! - [`table`]: aligned text tables / CSV for regenerating Tables I–III,
 //! - [`quant`]: logit-drift / argmax-agreement scoring and per-layer
 //!   artifact-size accounting for the int8 inference path,
-//! - [`fleet`]: per-model latency/outcome rollups (nearest-rank
-//!   percentiles, pooled fleet-wide tails) for multi-model serving,
+//! - [`fleet`]: per-model latency rollups and the nearest-rank
+//!   percentile the serving reports use,
 //! - [`series`]: CSV + ASCII line charts for regenerating Figures 1/4/5.
 //!
 //! ## Example: compute a relative training cost

@@ -4,7 +4,7 @@
 //! periodically drop low-magnitude weights and grow fresh connections — and
 //! differ along exactly two axes:
 //!
-//! | Engine | Sparsity over time            | Growth criterion     |
+//! | Engine | Sparsity over time            | Growth rule          |
 //! |--------|-------------------------------|----------------------|
 //! | NDSNN  | increases θᵢ→θ_f (Eq. 4)      | gradient magnitude   |
 //! | RigL   | constant                      | gradient magnitude   |
@@ -65,7 +65,7 @@ pub struct DynamicConfig {
     pub death_min: f64,
     /// Mask-update timing.
     pub update: UpdateSchedule,
-    /// Growth criterion.
+    /// Growth rule.
     pub growth: GrowthMode,
     /// Layer-wise sparsity distribution.
     pub distribution: Distribution,

@@ -1,12 +1,10 @@
 //! The sparse-training engine interface and shared plumbing.
 
 use ndsnn_snn::layers::Layer;
-use rand::Rng;
 
-use crate::distribution::{layer_densities, Distribution, LayerShape};
+use crate::distribution::LayerShape;
 use crate::dynamic::UpdateEvent;
 use crate::error::{Result, SparseError};
-use crate::kernels::random_mask;
 use crate::mask::MaskSet;
 
 /// A full snapshot of an engine's mutable internals, sufficient to resume a
@@ -180,24 +178,6 @@ pub fn configure_grad_execution(model: &mut dyn Layer, threshold: f64, tau: f32)
     model.set_grad_execution(threshold, tau);
 }
 
-/// Builds random initial masks at the given global sparsity, distributed
-/// across layers by `dist`, and applies them to the model's weights.
-pub fn init_random_masks(
-    model: &mut dyn Layer,
-    dist: Distribution,
-    sparsity: f64,
-    rng: &mut impl Rng,
-) -> Result<MaskSet> {
-    let shapes = collect_layer_shapes(model);
-    let densities = layer_densities(dist, &shapes, sparsity)?;
-    let mut set = MaskSet::new();
-    for (shape, density) in shapes.iter().zip(&densities) {
-        set.insert(shape.name.clone(), random_mask(&shape.dims, *density, rng));
-    }
-    set.apply_to_weights(model);
-    Ok(set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,25 +216,5 @@ mod tests {
         assert_eq!(shapes.len(), 2);
         assert_eq!(shapes[0].name, "fc1.weight");
         assert_eq!(shapes[0].dims, vec![64, 32]);
-    }
-
-    #[test]
-    fn init_random_masks_hits_sparsity_and_zeroes_weights() {
-        let mut m = model();
-        let mut rng = StdRng::seed_from_u64(101);
-        let set = init_random_masks(&mut m, Distribution::Erk, 0.8, &mut rng).unwrap();
-        assert!((set.overall_sparsity() - 0.8).abs() < 0.02);
-        // Weights outside the mask are zero.
-        let mut violations = 0;
-        m.for_each_param(&mut |p| {
-            if let Some(mask) = set.get(&p.name) {
-                for (w, &mk) in p.value.as_slice().iter().zip(mask.as_slice()) {
-                    if mk == 0.0 && *w != 0.0 {
-                        violations += 1;
-                    }
-                }
-            }
-        });
-        assert_eq!(violations, 0);
     }
 }

@@ -97,7 +97,7 @@ pub fn drop_by_magnitude(weight: &mut Tensor, mask: &mut Tensor, count: usize) -
 }
 
 /// Grows (sets mask to 1) the `count` inactive positions with the largest
-/// gradient magnitude — the RigL/NDSNN growth criterion. Newly grown weights
+/// gradient magnitude — the RigL/NDSNN growth rule. Newly grown weights
 /// start at zero (they acquire value from subsequent updates). Returns how
 /// many were actually grown.
 pub fn grow_by_gradient(
@@ -122,7 +122,7 @@ pub fn grow_by_gradient(
 }
 
 /// Grows `count` inactive positions chosen uniformly at random — the SET
-/// growth criterion. Returns how many were grown.
+/// growth rule. Returns how many were grown.
 pub fn grow_random(
     weight: &mut Tensor,
     mask: &mut Tensor,

@@ -123,16 +123,43 @@ fn confusion_matrix_agrees_with_accuracy() {
     assert!((confusion.accuracy() - correct as f64 / total as f64).abs() < 1e-12);
 }
 
-/// The row-sparse execution engine must be a pure execution-strategy change:
-/// training with every masked layer forced through the sparse kernels
-/// produces the same loss trajectory (within f32 tolerance) as forced-dense
-/// execution, with *identical* drop/grow decisions, mask updates, and final
-/// live-weight counts. `dW` is always computed densely, so the drop-and-grow
-/// inputs match bit-for-bit; only `W·x` / `Wᵀ·gy` accumulation order differs.
+/// Every sparse dispatch is a pure execution-strategy change. Each arm
+/// trains the same NDSNN run (θ 0.7→0.9, drop-and-grow every 2 steps) with
+/// the weight-plan, spike-gather and active-set dispatches forced off,
+/// forced on, or at their shipped defaults, on 1 or 2 kernel threads. Every
+/// dispatch keeps each output element's accumulation chain, so within a
+/// surrogate all arms must give the same per-batch loss bits, drop/grow
+/// history and mask bits as the all-dense single-thread arm. The active set
+/// only engages under a compact-support surrogate (`rect` has exact-zero
+/// derivatives outside its window), so only `rect` arms force it. A forced
+/// dispatch must also have run, so no arm passes by falling back to dense.
 #[test]
 fn sparse_dispatch_matches_dense_trajectory() {
+    use ndsnn_snn::surrogate::Surrogate;
     use ndsnn_sparse::distribution::Distribution;
-    let cfg = Profile::Smoke.run_config(
+    use ndsnn_sparse::engine::{configure_grad_execution, configure_spike_execution};
+    use ndsnn_sparse::kernels::DEFAULT_DENSITY_THRESHOLD as W_DEF;
+    use ndsnn_tensor::ops::grad::DEFAULT_GRAD_DENSITY_THRESHOLD as G_DEF;
+    use ndsnn_tensor::ops::spike::DEFAULT_SPIKE_DENSITY_THRESHOLD as S_DEF;
+    use ndsnn_tensor::parallel::set_thread_override;
+
+    const OFF: f64 = -1.0;
+    const ON: f64 = 1.5;
+    let atan = Surrogate::Atan;
+    let rect = Surrogate::Rectangle { width: 1.0 };
+    // (surrogate, weight-plan, spike-gather and active-set thresholds,
+    // threads). The first arm of each surrogate is its reference.
+    let arms: [(Surrogate, f64, f64, f64, usize); 8] = [
+        (atan, OFF, OFF, OFF, 1),
+        (atan, ON, OFF, OFF, 1),
+        (atan, ON, ON, OFF, 1),
+        (atan, W_DEF, S_DEF, G_DEF, 2),
+        (rect, OFF, OFF, OFF, 1),
+        (rect, ON, ON, ON, 1),
+        (rect, ON, ON, ON, 2),
+        (rect, W_DEF, S_DEF, G_DEF, 2),
+    ];
+    let mut cfg = Profile::Smoke.run_config(
         Architecture::Vgg16,
         DatasetKind::Cifar10,
         MethodSpec::Ndsnn {
@@ -153,42 +180,62 @@ fn sparse_dispatch_matches_dense_trajectory() {
         seed: 3,
     };
 
-    // Returns (per-batch losses, update history, per-layer masks, live
-    // weights per layer, number of layers that ran through the sparse path).
+    // Per-batch loss bits, (step, dropped, grown) history, mask bits.
     type Trace = (
-        Vec<f32>,
+        Vec<u32>,
         Vec<(usize, usize, usize)>,
-        Vec<(String, Vec<f32>)>,
-        Vec<(String, usize)>,
-        usize,
+        Vec<(String, Vec<u32>)>,
     );
-    let run = |threshold: f64| -> Trace {
+    let mut reference: Option<(Surrogate, Trace)> = None;
+    for (arm, &(surrogate, weight, spike, grad, threads)) in arms.iter().enumerate() {
+        cfg.surrogate = surrogate;
         let mut net = build_network(&cfg).unwrap();
         let mut engine = DynamicEngine::with_label("NDSNN", config).unwrap();
-        engine.set_density_threshold(threshold);
+        engine.set_density_threshold(weight);
         engine.init(&mut net.layers).unwrap();
+        configure_spike_execution(&mut net.layers, spike);
+        configure_grad_execution(&mut net.layers, grad, 0.0);
+        set_thread_override(Some(threads));
         let loader = BatchLoader::eval(cfg.batch_size);
         let mut opt = Sgd::new(cfg.sgd);
         let mut losses = Vec::new();
-        let mut planned = 0usize;
         let mut step = 0;
         for epoch in 0..3 {
             for batch in loader.epoch(&train, epoch) {
                 let stats = net.train_batch(&batch.images, &batch.labels).unwrap();
-                losses.push(stats.loss);
+                losses.push(stats.loss.to_bits());
                 engine.before_optim(step, &mut net.layers).unwrap();
                 opt.step(&mut net.layers).unwrap();
                 engine.after_optim(step, &mut net.layers).unwrap();
                 step += 1;
             }
         }
-        let mut live = Vec::new();
-        net.layers.for_each_param(&mut |p| {
-            if p.is_sparsifiable() {
-                planned += usize::from(p.plan.is_some());
-                live.push((p.name.clone(), p.value.count_nonzero()));
+        set_thread_override(None);
+
+        let mut plans = 0u64;
+        net.layers
+            .for_each_param(&mut |p| plans += u64::from(p.plan.is_some()));
+        let dispatches = [
+            ("weight plans", weight, plans),
+            (
+                "spike gathers",
+                spike,
+                net.layers.spike_exec_stats().gather_steps,
+            ),
+            (
+                "active-set dX",
+                grad,
+                net.layers.grad_exec_stats().gather_steps,
+            ),
+        ];
+        for (what, threshold, count) in dispatches {
+            if threshold == ON {
+                assert!(count > 0, "arm {arm}: forced {what} never ran");
+            } else if threshold == OFF {
+                assert_eq!(count, 0, "arm {arm}: disabled {what} ran");
             }
-        });
+        }
+
         let history = engine
             .history()
             .iter()
@@ -198,26 +245,23 @@ fn sparse_dispatch_matches_dense_trajectory() {
             .mask_set()
             .unwrap()
             .iter()
-            .map(|(n, m)| (n.clone(), m.as_slice().to_vec()))
+            .map(|(n, m)| {
+                (
+                    n.clone(),
+                    m.as_slice().iter().map(|v| v.to_bits()).collect(),
+                )
+            })
             .collect();
-        (losses, history, masks, live, planned)
-    };
-
-    let (dense_losses, dense_hist, dense_masks, dense_live, dense_planned) = run(-1.0);
-    let (sp_losses, sp_hist, sp_masks, sp_live, sp_planned) = run(1.5);
-    assert_eq!(dense_planned, 0, "negative threshold must stay dense");
-    assert!(sp_planned > 0, "sparse run installed no exec plans");
-
-    assert_eq!(dense_losses.len(), sp_losses.len());
-    for (i, (a, b)) in dense_losses.iter().zip(&sp_losses).enumerate() {
-        assert!(
-            (a - b).abs() <= 1e-3 * (1.0 + a.abs()),
-            "loss diverged at batch {i}: dense {a} vs sparse {b}"
-        );
+        let trace: Trace = (losses, history, masks);
+        match &reference {
+            Some((s, want)) if *s == surrogate => {
+                assert_eq!(want.0, trace.0, "arm {arm}: loss bits diverged");
+                assert_eq!(want.1, trace.1, "arm {arm}: drop/grow decisions diverged");
+                assert!(want.2 == trace.2, "arm {arm}: mask bits diverged");
+            }
+            _ => reference = Some((surrogate, trace)),
+        }
     }
-    assert_eq!(dense_hist, sp_hist, "drop/grow decisions diverged");
-    assert_eq!(dense_masks, sp_masks, "mask topologies diverged");
-    assert_eq!(dense_live, sp_live, "final live-weight counts diverged");
 }
 
 /// ITOP through the public engine API: exploration strictly exceeds the
