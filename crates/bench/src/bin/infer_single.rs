@@ -5,11 +5,14 @@
 //! ```sh
 //! infer_single --artifact <path> [--requests <n>] [--clients <n>]
 //!              [--batch <n>] [--max-wait-us <n>] [--deadline-ms <n>]
-//!              [--seed <n>] [--quantize] [--encoding bitmap|delta|absolute]
+//!              [--seed <n>] [--quantize]
 //! infer_single --model-dir <dir> [--model <name>]... [--requests <n>]
 //!              [--clients <n>] [--batch <n>] [--max-wait-us <n>]
 //!              [--deadline-ms <n>] [--seed <n>]
 //! ```
+//!
+//! An unknown flag or an unparsable number exits with status 2 before
+//! anything is loaded or served.
 //!
 //! `--model-dir` switches to **fleet mode**: every artifact file in the
 //! directory is registered into a [`ndsnn_infer::ModelRegistry`] under its
@@ -35,13 +38,13 @@
 //!
 //! `--quantize` (or `NDSNN_INFER_QUANT=1`) compresses the loaded artifact's
 //! eligible spike-input layers to int8 NDINF2 stores in memory before
-//! serving and prints a per-layer size table on stderr;
-//! `--encoding`/`NDSNN_INFER_ENCODING` forces one index encoding instead of
-//! the per-layer smallest. Already-quantized artifacts serve as-is.
+//! serving and prints a per-layer size table on stderr. Already-quantized
+//! artifacts serve as-is.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use ndsnn_bench::Args;
 use ndsnn_infer::{
     Artifact, BatchPolicy, Executor, Fleet, FleetOptions, InferError, ModelRegistry, Router,
     ServeOptions, Server,
@@ -51,6 +54,10 @@ use ndsnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+
+const USAGE: &str = "infer_single --artifact <path> | --model-dir <dir> [--model <name>]... \
+[--requests <n>] [--clients <n>] [--batch <n>] [--max-wait-us <n>] [--deadline-ms <n>] \
+[--seed <n>] [--quantize]";
 
 #[derive(Serialize)]
 struct LayerTime {
@@ -277,28 +284,18 @@ fn run_fleet(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let requests: usize = get("--requests").and_then(|s| s.parse().ok()).unwrap_or(32);
-    let clients: usize = get("--clients")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    let seed: u64 = get("--seed").and_then(|s| s.parse().ok()).unwrap_or(7);
+    let args = Args::parse(USAGE);
+    let requests: usize = args.number("--requests").unwrap_or(32);
+    let clients: usize = args.number("--clients").unwrap_or(4).max(1);
+    let seed: u64 = args.number("--seed").unwrap_or(7);
     let mut policy = BatchPolicy::from_env();
-    if let Some(b) = get("--batch").and_then(|s| s.parse().ok()) {
+    if let Some(b) = args.number("--batch") {
         policy.max_batch = b;
     }
-    if let Some(us) = get("--max-wait-us").and_then(|s| s.parse().ok()) {
+    if let Some(us) = args.number("--max-wait-us") {
         policy.max_wait = Duration::from_micros(us);
     }
-    let deadline: Option<Duration> = get("--deadline-ms")
-        .and_then(|s| s.parse().ok())
-        .map(Duration::from_millis);
+    let deadline: Option<Duration> = args.number("--deadline-ms").map(Duration::from_millis);
     let mut opts = ServeOptions::from_env();
     opts.policy = policy;
     if deadline.is_some() {
@@ -306,36 +303,21 @@ fn main() {
     }
 
     // Fleet mode: a directory of artifacts routed by name.
-    if let Some(dir) = get("--model-dir") {
-        let only: Vec<String> = args
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.as_str() == "--model")
-            .filter_map(|(i, _)| args.get(i + 1).cloned())
-            .collect();
-        run_fleet(&dir, &only, requests, clients, seed, opts);
+    if let Some(dir) = args.get("--model-dir") {
+        let only: Vec<String> = args.all("--model").into_iter().map(String::from).collect();
+        run_fleet(dir, &only, requests, clients, seed, opts);
         return;
     }
 
-    let path = get("--artifact").unwrap_or_else(|| {
-        eprintln!(
-            "usage: infer_single --artifact <path> | --model-dir <dir> [--model <name>]... \
-             [--requests <n>] [--clients <n>]"
-        );
+    let path = args.get("--artifact").unwrap_or_else(|| {
+        eprintln!("usage: {USAGE}");
         std::process::exit(2);
     });
-    let mut loaded = Artifact::load(&path).expect("load artifact");
-    let quantize = args.iter().any(|a| a == "--quantize") || ndsnn::config::env::infer_quant();
+    let mut loaded = Artifact::load(path).expect("load artifact");
+    let quantize = args.has("--quantize") || ndsnn::config::env::infer_quant();
     if quantize && !loaded.is_quantized() {
-        let encoding = get("--encoding")
-            .as_deref()
-            .and_then(ndsnn_infer::IndexEncoding::parse)
-            .or_else(|| ndsnn_infer::IndexEncoding::parse(&ndsnn::config::env::infer_encoding()));
-        let qopts = ndsnn_infer::QuantOptions {
-            encoding,
-            ..Default::default()
-        };
-        let (qart, rows) = ndsnn_infer::quantize_artifact(&loaded, &qopts).expect("quantize");
+        let (qart, rows) =
+            ndsnn_infer::quantize_artifact(&loaded, &Default::default()).expect("quantize");
         let size_rows: Vec<_> = rows
             .iter()
             .map(|r| ndsnn_metrics::quant::SizeRow {

@@ -6,10 +6,14 @@
 //! run_single [--profile smoke|small|paper] [--arch vgg16|resnet19|lenet5]
 //!            [--dataset cifar10|cifar100|tiny] [--method dense|ndsnn|set|rigl|lth|admm]
 //!            [--sparsity <f64>] [--initial <f64>] [--timesteps <n>] [--seed <n>]
+//!            [--epochs <n>] [--delta-t <n>] [--neuron lif|plif]
 //!            [--surrogate atan|fastsigmoid[:alpha]|rect[:width]|gauss[:sigma]]
 //!            [--checkpoint-dir <path>] [--checkpoint-every <n>] [--resume]
-//!            [--export <path>] [--quantize] [--encoding bitmap|delta|absolute]
+//!            [--export <path>] [--quantize]
 //! ```
+//!
+//! An unknown flag, an unknown value of an enumerated flag or an
+//! unparsable number exits with status 2 before training starts.
 //!
 //! With `--checkpoint-dir` the run goes through the crash-safe path
 //! (`trainer::run_recoverable`): a full-state generation is written every
@@ -23,27 +27,33 @@
 //! the run uses a temporary checkpoint directory so the final generation
 //! exists to compile from, then removes it. Adding `--quantize` (or setting
 //! `NDSNN_INFER_QUANT=1`) compresses eligible spike-input layers to int8
-//! NDINF2 stores and prints a per-layer size table on stderr;
-//! `--encoding`/`NDSNN_INFER_ENCODING` forces one index encoding instead of
-//! the per-layer smallest.
+//! NDINF2 stores and prints a per-layer size table on stderr.
 
 use ndsnn::config::{DatasetKind, MethodSpec};
 use ndsnn::profile::Profile;
 use ndsnn::recovery::RecoveryOptions;
 use ndsnn::trainer;
-use ndsnn_snn::models::Architecture;
+use ndsnn_bench::Args;
+use ndsnn_snn::models::{Architecture, NeuronKind};
 use ndsnn_snn::surrogate::Surrogate;
+
+const USAGE: &str = "run_single [--profile smoke|small|paper] [--arch vgg16|resnet19|lenet5] \
+[--dataset cifar10|cifar100|tiny] [--method dense|ndsnn|set|rigl|lth|admm] [--sparsity <f64>] \
+[--initial <f64>] [--timesteps <n>] [--seed <n>] [--epochs <n>] [--delta-t <n>] \
+[--neuron lif|plif] [--surrogate atan|fastsigmoid[:alpha]|rect[:width]|gauss[:sigma]] \
+[--checkpoint-dir <path>] [--checkpoint-every <n>] [--resume] [--export <path>] [--quantize]";
 
 /// Parses `name[:param]` surrogate specs: `atan`, `fastsigmoid[:alpha]`,
 /// `rect[:width]`, `gauss[:sigma]`. Compact-support windows (`rect`,
-/// `gauss`) enable the active-set sparse-gradient backward.
+/// `gauss`) enable the active-set sparse-gradient backward. An unknown
+/// name, a parameter on `atan` or an unparsable parameter is `None`.
 fn parse_surrogate(spec: &str) -> Option<Surrogate> {
     let (name, param) = match spec.split_once(':') {
-        Some((n, p)) => (n, p.parse::<f32>().ok()),
+        Some((n, p)) => (n, Some(p.parse::<f32>().ok()?)),
         None => (spec, None),
     };
     match name {
-        "atan" => Some(Surrogate::Atan),
+        "atan" if param.is_none() => Some(Surrogate::Atan),
         "fastsigmoid" => Some(Surrogate::FastSigmoid {
             alpha: param.unwrap_or(2.0),
         }),
@@ -58,83 +68,89 @@ fn parse_surrogate(spec: &str) -> Option<Surrogate> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let profile = get("--profile")
-        .and_then(|s| Profile::parse(&s))
+    let args = Args::parse(USAGE);
+    let profile = args
+        .choice("--profile", Profile::parse)
         .unwrap_or(Profile::Small);
-    let arch = match get("--arch").as_deref() {
-        Some("resnet19") => Architecture::Resnet19,
-        Some("lenet5") => Architecture::Lenet5,
-        _ => Architecture::Vgg16,
+    let arch = args
+        .choice("--arch", |s| match s {
+            "vgg16" => Some(Architecture::Vgg16),
+            "resnet19" => Some(Architecture::Resnet19),
+            "lenet5" => Some(Architecture::Lenet5),
+            _ => None,
+        })
+        .unwrap_or(Architecture::Vgg16);
+    let dataset = args
+        .choice("--dataset", |s| match s {
+            "cifar10" => Some(DatasetKind::Cifar10),
+            "cifar100" => Some(DatasetKind::Cifar100),
+            "tiny" => Some(DatasetKind::TinyImageNet),
+            _ => None,
+        })
+        .unwrap_or(DatasetKind::Cifar10);
+    let sparsity: f64 = args.number("--sparsity").unwrap_or(0.95);
+    let initial: f64 = args.number("--initial").unwrap_or(0.7);
+    let ndsnn = MethodSpec::Ndsnn {
+        initial_sparsity: initial.min(sparsity),
+        final_sparsity: sparsity,
     };
-    let dataset = match get("--dataset").as_deref() {
-        Some("cifar100") => DatasetKind::Cifar100,
-        Some("tiny") => DatasetKind::TinyImageNet,
-        _ => DatasetKind::Cifar10,
-    };
-    let sparsity: f64 = get("--sparsity")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.95);
-    let initial: f64 = get("--initial").and_then(|s| s.parse().ok()).unwrap_or(0.7);
-    let method = match get("--method").as_deref() {
-        Some("dense") => MethodSpec::Dense,
-        Some("set") => MethodSpec::Set { sparsity },
-        Some("rigl") => MethodSpec::Rigl { sparsity },
-        Some("lth") => MethodSpec::Lth {
-            final_sparsity: sparsity,
-            rounds: 4,
-        },
-        Some("admm") => MethodSpec::Admm {
-            target_sparsity: sparsity,
-        },
-        _ => MethodSpec::Ndsnn {
-            initial_sparsity: initial.min(sparsity),
-            final_sparsity: sparsity,
-        },
-    };
+    let method = args
+        .choice("--method", |s| match s {
+            "dense" => Some(MethodSpec::Dense),
+            "ndsnn" => Some(ndsnn),
+            "set" => Some(MethodSpec::Set { sparsity }),
+            "rigl" => Some(MethodSpec::Rigl { sparsity }),
+            "lth" => Some(MethodSpec::Lth {
+                final_sparsity: sparsity,
+                rounds: 4,
+            }),
+            "admm" => Some(MethodSpec::Admm {
+                target_sparsity: sparsity,
+            }),
+            _ => None,
+        })
+        .unwrap_or(ndsnn);
     let mut cfg = profile.run_config(arch, dataset, method);
-    if let Some(t) = get("--timesteps").and_then(|s| s.parse().ok()) {
+    if let Some(t) = args.number("--timesteps") {
         cfg.timesteps = t;
     }
-    if let Some(seed) = get("--seed").and_then(|s| s.parse().ok()) {
+    if let Some(seed) = args.number("--seed") {
         cfg.seed = seed;
     }
-    if let Some(dt) = get("--delta-t").and_then(|s| s.parse().ok()) {
+    if let Some(dt) = args.number("--delta-t") {
         cfg.delta_t = dt;
     }
-    if let Some(e) = get("--epochs").and_then(|s| s.parse().ok()) {
+    if let Some(e) = args.number("--epochs") {
         cfg.epochs = e;
     }
-    if get("--neuron").as_deref() == Some("plif") {
-        cfg.neuron = ndsnn_snn::models::NeuronKind::Plif;
+    if let Some(n) = args.choice("--neuron", |s| match s {
+        "lif" => Some(NeuronKind::Lif),
+        "plif" => Some(NeuronKind::Plif),
+        _ => None,
+    }) {
+        cfg.neuron = n;
     }
-    if let Some(spec) = get("--surrogate") {
-        match parse_surrogate(&spec) {
-            Some(s) => cfg.surrogate = s,
-            None => eprintln!("unknown surrogate {spec:?}; keeping {:?}", cfg.surrogate),
-        }
+    if let Some(s) = args.choice("--surrogate", parse_surrogate) {
+        cfg.surrogate = s;
     }
+    let checkpoint_every = args.number("--checkpoint-every");
     cfg.image_size = cfg.image_size.max(trainer::min_image_size(arch));
     eprintln!("running {}", cfg.describe());
-    let export = get("--export");
+    let export = args.get("--export");
     // Exporting needs a checkpoint generation to compile from; without an
     // explicit directory, use a temporary one for the duration of the run.
-    let temp_ckpt = if export.is_some() && get("--checkpoint-dir").is_none() {
+    let temp_ckpt = if export.is_some() && !args.has("--checkpoint-dir") {
         Some(std::env::temp_dir().join(format!("ndsnn-export-{}", std::process::id())))
     } else {
         None
     };
-    let ckpt_dir = get("--checkpoint-dir")
+    let ckpt_dir = args
+        .get("--checkpoint-dir")
         .map(std::path::PathBuf::from)
         .or_else(|| temp_ckpt.clone());
     let result = match &ckpt_dir {
         Some(dir) => {
-            if let Some(n) = get("--checkpoint-every").and_then(|s| s.parse().ok()) {
+            if let Some(n) = checkpoint_every {
                 cfg.checkpoint_every = n;
             }
             if export.is_some() && cfg.checkpoint_every == 0 {
@@ -142,7 +158,7 @@ fn main() {
                 cfg.checkpoint_every = usize::MAX;
             }
             let mut recovery = RecoveryOptions::with_dir(dir);
-            if args.iter().any(|a| a == "--resume") {
+            if args.has("--resume") {
                 recovery = recovery.resuming();
             }
             let (train, test) = trainer::build_datasets(&cfg);
@@ -160,20 +176,9 @@ fn main() {
         };
         let mut art = ndsnn_infer::compile_from_checkpoint_dir(&cfg, dir, &copts)
             .expect("compile inference artifact");
-        let quantize = args.iter().any(|a| a == "--quantize") || ndsnn::config::env::infer_quant();
-        if quantize {
-            let encoding = get("--encoding")
-                .as_deref()
-                .and_then(ndsnn_infer::IndexEncoding::parse)
-                .or_else(|| {
-                    ndsnn_infer::IndexEncoding::parse(&ndsnn::config::env::infer_encoding())
-                });
-            let qopts = ndsnn_infer::QuantOptions {
-                encoding,
-                ..Default::default()
-            };
-            let (qart, rows) =
-                ndsnn_infer::quantize_artifact(&art, &qopts).expect("quantize artifact");
+        if args.has("--quantize") || ndsnn::config::env::infer_quant() {
+            let (qart, rows) = ndsnn_infer::quantize_artifact(&art, &Default::default())
+                .expect("quantize artifact");
             let size_rows: Vec<_> = rows
                 .iter()
                 .map(|r| ndsnn_metrics::quant::SizeRow {
@@ -190,7 +195,7 @@ fn main() {
             );
             art = qart;
         }
-        art.save(&path).expect("write inference artifact");
+        art.save(path).expect("write inference artifact");
         eprintln!(
             "exported {} ({} ops, {} weighted layers, mask digest {:016x})",
             path,

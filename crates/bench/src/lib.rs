@@ -6,6 +6,9 @@
 //! ```text
 //! <bin> [--profile smoke|small|paper] [--csv <path>] [--sparsity <f64>]
 //! ```
+//!
+//! The `run_single` and `infer_single` CLIs read their wider flag sets
+//! through [`Args`].
 
 use ndsnn::profile::Profile;
 
@@ -90,6 +93,97 @@ impl Cli {
             }
         }
     }
+}
+
+/// A strict command line for the `run_single` and `infer_single` CLIs.
+/// The accepted flags are read off the usage line: `--flag` followed by `]`
+/// stands alone, any other `--flag` there takes a value. Every argument
+/// must be an accepted flag, valued flags need a value, a flag read with
+/// [`Args::get`] may not repeat, and numbers and enumerated values must
+/// parse. Any violation prints the message and the usage line on stderr
+/// and exits with status 2, before the binary starts any work.
+#[derive(Debug, Clone)]
+pub struct Args {
+    usage: &'static str,
+    given: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Reads `std::env::args` against `usage`.
+    pub fn parse(usage: &'static str) -> Args {
+        let mut given = Vec::new();
+        let mut it = std::env::args().skip(1);
+        while let Some(flag) = it.next() {
+            let value = match takes_value(usage, &flag) {
+                Some(false) => None,
+                Some(true) => Some(
+                    it.next()
+                        .unwrap_or_else(|| exit_usage(&format!("{flag} needs a value"), usage)),
+                ),
+                None => exit_usage(&format!("unknown argument: {flag}"), usage),
+            };
+            given.push((flag, value));
+        }
+        Args { usage, given }
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| f == flag)
+    }
+
+    /// Every value given for `flag`, in order.
+    pub fn all(&self, flag: &str) -> Vec<&str> {
+        self.given
+            .iter()
+            .filter(|(f, _)| f == flag)
+            .filter_map(|(_, v)| v.as_deref())
+            .collect()
+    }
+
+    /// The value of a single-valued `flag`; giving it twice exits.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        match self.all(flag)[..] {
+            [] => None,
+            [v] => Some(v),
+            _ => exit_usage(&format!("{flag} given more than once"), self.usage),
+        }
+    }
+
+    /// The value of `flag` as a number; an unparsable one exits.
+    pub fn number<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.choice(flag, |v| v.parse().ok())
+    }
+
+    /// The value of `flag` mapped through `parse`; a value it rejects exits
+    /// (the usage line names the accepted ones).
+    pub fn choice<T>(&self, flag: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+        self.get(flag).map(|v| {
+            parse(v)
+                .unwrap_or_else(|| exit_usage(&format!("{flag}: invalid value {v:?}"), self.usage))
+        })
+    }
+}
+
+/// Whether `flag` takes a value according to `usage`: `--flag <v>` does,
+/// `[--flag]` does not; `None` when `usage` has no such flag.
+fn takes_value(usage: &str, flag: &str) -> Option<bool> {
+    if !flag.starts_with("--") {
+        return None;
+    }
+    usage
+        .match_indices(flag)
+        .find_map(|(i, _)| match usage[i + flag.len()..].chars().next() {
+            Some(' ') => Some(true),
+            Some(']') => Some(false),
+            _ => None,
+        })
+}
+
+/// Prints `msg` and `usage` on stderr and exits with status 2.
+fn exit_usage(msg: &str, usage: &str) -> ! {
+    eprintln!("{msg}\nusage: {usage}");
+    std::process::exit(2)
 }
 
 fn usage(bin: &str, what: &str) -> ! {

@@ -82,11 +82,6 @@ pub enum MethodSpec {
         /// Target sparsity.
         target_sparsity: f64,
     },
-    /// Structured (filter-level) pruning — extension beyond the paper.
-    Structured {
-        /// Fraction of filters removed per layer.
-        filter_sparsity: f64,
-    },
 }
 
 impl MethodSpec {
@@ -99,7 +94,6 @@ impl MethodSpec {
             MethodSpec::Rigl { .. } => "RigL",
             MethodSpec::Lth { .. } => "LTH",
             MethodSpec::Admm { .. } => "ADMM",
-            MethodSpec::Structured { .. } => "Structured",
         }
     }
 
@@ -112,7 +106,6 @@ impl MethodSpec {
             MethodSpec::Rigl { sparsity } => sparsity,
             MethodSpec::Lth { final_sparsity, .. } => final_sparsity,
             MethodSpec::Admm { target_sparsity } => target_sparsity,
-            MethodSpec::Structured { filter_sparsity } => filter_sparsity,
         }
     }
 }
@@ -250,10 +243,6 @@ pub mod env {
     /// Whether the inference compiler int8-quantizes eligible layers into an
     /// NDINF2 artifact (`1`/`true`/`on` enable; anything else keeps f32).
     pub const INFER_QUANT: &str = "NDSNN_INFER_QUANT";
-    /// Index encoding for quantized weight sections: `auto` (measured
-    /// per-layer choice), `bitmap`, `delta`, or `absolute`. Unrecognized
-    /// values fall back to `auto`.
-    pub const INFER_ENCODING: &str = "NDSNN_INFER_ENCODING";
     /// Resident-byte budget for the multi-model registry: the sum of
     /// encoded artifact bytes the registry may keep loaded. `0` (the
     /// default) means unlimited. Registration past the budget evicts
@@ -393,20 +382,6 @@ pub mod env {
         })
     }
 
-    /// `NDSNN_INFER_ENCODING`, default `auto`. Returns the trimmed
-    /// lowercase value when it names a known encoding (`auto`, `bitmap`,
-    /// `delta`, `absolute`); garbage falls back to `auto` (the measured
-    /// per-layer choice) instead of failing.
-    pub fn infer_encoding() -> String {
-        let raw = ndsnn_tensor::env::raw(INFER_ENCODING)
-            .map(|s| s.trim().to_ascii_lowercase())
-            .unwrap_or_default();
-        match raw.as_str() {
-            "bitmap" | "delta" | "delta-varint" | "deltavarint" | "absolute" | "abs" => raw,
-            _ => "auto".to_string(),
-        }
-    }
-
     /// `NDSNN_FLEET_BUDGET_BYTES`, default [`DEFAULT_FLEET_BUDGET_BYTES`]
     /// (`0`: unlimited). Unparsable values fall back to the default.
     pub fn fleet_budget_bytes() -> u64 {
@@ -450,18 +425,6 @@ pub mod env {
             assert!(!infer_quant(), "garbage must fall back to off");
             std::env::remove_var(INFER_QUANT);
             assert!(!infer_quant());
-        }
-
-        #[test]
-        fn infer_encoding_knob() {
-            std::env::set_var(INFER_ENCODING, " Bitmap ");
-            assert_eq!(infer_encoding(), "bitmap");
-            std::env::set_var(INFER_ENCODING, "delta-varint");
-            assert_eq!(infer_encoding(), "delta-varint");
-            std::env::set_var(INFER_ENCODING, "huffman");
-            assert_eq!(infer_encoding(), "auto", "garbage must fall back to auto");
-            std::env::remove_var(INFER_ENCODING);
-            assert_eq!(infer_encoding(), "auto");
         }
 
         #[test]

@@ -31,7 +31,6 @@ use ndsnn_sparse::ndsnn::{ndsnn_engine, NdsnnConfig};
 use ndsnn_sparse::rigl::{rigl_engine, RiglConfig};
 use ndsnn_sparse::schedule::UpdateSchedule;
 use ndsnn_sparse::set::{set_engine, SetConfig};
-use ndsnn_sparse::structured::{StructuredConfig, StructuredEngine};
 use ndsnn_tensor::ops::grad::{grad_active_threshold_from_env, grad_density_threshold_from_env};
 use ndsnn_tensor::ops::spike::spike_density_threshold_from_env;
 use rand::rngs::StdRng;
@@ -179,15 +178,6 @@ pub fn build_engine(cfg: &RunConfig, total_steps: usize) -> Result<Box<dyn Spars
             let mut c = AdmmConfig::new(target_sparsity, retrain_start)?;
             c.projection_interval = cfg.delta_t.max(1);
             Box::new(AdmmEngine::new(c))
-        }
-        MethodSpec::Structured { filter_sparsity } => {
-            // Dense warm-up for 30% of training, then filter pruning +
-            // fine-tune.
-            let prune_step = ((total_steps as f64) * 0.3) as usize;
-            Box::new(StructuredEngine::new(StructuredConfig::new(
-                filter_sparsity,
-                prune_step,
-            )?))
         }
     })
 }

@@ -73,49 +73,6 @@ impl InMemoryDataset {
         )
     }
 
-    /// Splits into `(first, second)` preserving per-class proportions: the
-    /// first `frac` of every class's samples (in dataset order) goes left.
-    /// Useful for carving validation sets out of class-balanced synthetic
-    /// data without skewing rare classes.
-    pub fn stratified_split(self, frac: f64) -> (InMemoryDataset, InMemoryDataset) {
-        let frac = frac.clamp(0.0, 1.0);
-        // Quota per class.
-        let counts = self.class_counts();
-        let quotas: Vec<usize> = counts
-            .iter()
-            .map(|&c| ((c as f64) * frac).round() as usize)
-            .collect();
-        let mut taken = vec![0usize; self.num_classes];
-        let mut left_images = Vec::new();
-        let mut left_labels = Vec::new();
-        let mut right_images = Vec::new();
-        let mut right_labels = Vec::new();
-        for (img, label) in self.images.into_iter().zip(self.labels) {
-            if taken[label] < quotas[label] {
-                taken[label] += 1;
-                left_images.push(img);
-                left_labels.push(label);
-            } else {
-                right_images.push(img);
-                right_labels.push(label);
-            }
-        }
-        // An empty side cannot be represented (datasets are non-empty); give
-        // it one sample from the other side if necessary.
-        if left_images.is_empty() {
-            left_images.push(right_images.remove(0));
-            left_labels.push(right_labels.remove(0));
-        }
-        if right_images.is_empty() {
-            right_images.push(left_images.remove(0));
-            right_labels.push(left_labels.remove(0));
-        }
-        (
-            InMemoryDataset::new(left_images, left_labels, self.num_classes),
-            InMemoryDataset::new(right_images, right_labels, self.num_classes),
-        )
-    }
-
     /// Class label histogram.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
@@ -175,28 +132,6 @@ mod tests {
     #[test]
     fn class_counts() {
         assert_eq!(ds().class_counts(), vec![3, 3]);
-    }
-
-    #[test]
-    fn stratified_split_preserves_balance() {
-        let images = (0..20).map(|i| Tensor::full([1, 2, 2], i as f32)).collect();
-        let labels: Vec<usize> = (0..20).map(|i| i % 4).collect();
-        let d = InMemoryDataset::new(images, labels, 4);
-        let (a, b) = d.stratified_split(0.4);
-        assert_eq!(a.len(), 8);
-        assert_eq!(b.len(), 12);
-        assert_eq!(a.class_counts(), vec![2, 2, 2, 2]);
-        assert_eq!(b.class_counts(), vec![3, 3, 3, 3]);
-    }
-
-    #[test]
-    fn stratified_split_extremes_stay_nonempty() {
-        let images = (0..4).map(|_| Tensor::zeros([1, 2, 2])).collect::<Vec<_>>();
-        let d = InMemoryDataset::new(images, vec![0, 1, 0, 1], 2);
-        let (a, b) = d.clone().stratified_split(0.0);
-        assert!(!a.is_empty() && !b.is_empty());
-        let (a, b) = d.stratified_split(1.0);
-        assert!(!a.is_empty() && !b.is_empty());
     }
 
     #[test]

@@ -268,16 +268,17 @@ fn encode_store(w: &mut BlobWriter, store: &WeightStore) {
         WeightStore::QuantCsr(q) => {
             w.put_u8(2);
             let (rows, cols) = q.csr().dims();
+            let (encoding, indices) = q.encode_indices();
             w.put_usize(rows);
             w.put_usize(cols);
-            w.put_u8(q.encoding().tag());
+            w.put_u8(encoding.tag());
             encode_f32s(w, q.scales());
             // int8 values travel as their two's-complement byte patterns;
             // row_ptr is never serialized — it re-derives from the index
             // stream, so the two can't disagree.
             let bytes: Vec<u8> = q.csr().val().iter().map(|&v| v as u8).collect();
             w.put_bytes(&bytes);
-            w.put_bytes(&q.encode_indices());
+            w.put_bytes(&indices);
         }
     }
 }
@@ -335,9 +336,7 @@ fn decode_store(r: &mut BlobReader<'_>, quant_ok: bool) -> Result<WeightStore> {
             // range and ascent by the CSR, scale/occupancy agreement and the
             // row cap by the quantized weight.
             let csr = Csr::from_parts(rows, cols, row_ptr, col_indices, values).map_err(bad)?;
-            Ok(WeightStore::QuantCsr(QuantWeight::new(
-                csr, scales, encoding,
-            )?))
+            Ok(WeightStore::QuantCsr(QuantWeight::new(csr, scales)?))
         }
         2 => Err(bad("quantized weight store in a version-1 artifact")),
         k => Err(bad(format!("unknown weight storage kind {k}"))),

@@ -49,15 +49,11 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     /// Defers to `NDSNN_DENSITY_THRESHOLD` (default 0.25), matching the
     /// training engine's own sparse-dispatch threshold; quantization
-    /// follows `NDSNN_INFER_QUANT` / `NDSNN_INFER_ENCODING` (default off).
+    /// follows `NDSNN_INFER_QUANT` (default off).
     fn default() -> Self {
-        let quantize = ndsnn::config::env::infer_quant().then(|| crate::quant::QuantOptions {
-            encoding: crate::quant::IndexEncoding::parse(&ndsnn::config::env::infer_encoding()),
-            ..Default::default()
-        });
         CompileOptions {
             density_threshold: ndsnn::config::env::density_threshold(),
-            quantize,
+            quantize: ndsnn::config::env::infer_quant().then(crate::quant::QuantOptions::default),
         }
     }
 }

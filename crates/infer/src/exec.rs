@@ -1069,7 +1069,7 @@ mod tests {
     fn quant_conv_weight() -> crate::quant::QuantWeight {
         let wd = Tensor::from_vec([3, 18], fill(54, 7, true)).unwrap();
         let csr = Csr::from_weight(&wd).unwrap();
-        let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr), None).unwrap();
+        let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr)).unwrap();
         qw
     }
 
@@ -1174,7 +1174,7 @@ mod tests {
     fn quantized_linear_matches_integer_hand_reference() {
         let wd = Tensor::from_vec([3, 4], fill(12, 5, true)).unwrap();
         let csr = Csr::from_weight(&wd).unwrap();
-        let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr), None).unwrap();
+        let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr)).unwrap();
         let art = Artifact {
             manifest: manifest(1, 1, 2),
             ops: vec![

@@ -232,13 +232,6 @@ impl Fleet {
             .collect()
     }
 
-    /// Fleet-wide counters: the saturating merge of every shard's stats.
-    pub fn fleet_stats(&self) -> ServeStats {
-        self.shards
-            .values()
-            .fold(ServeStats::default(), |acc, s| acc.merge(&s.server.stats()))
-    }
-
     /// Per-model health, derived from each shard's supervision counters.
     pub fn health(&self) -> BTreeMap<String, HealthState> {
         self.shards

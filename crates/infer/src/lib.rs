@@ -4,7 +4,7 @@
 //! optimizer velocity, growth/prune bookkeeping, activation caches, RNG
 //! streams. This crate closes the train→serve gap in three pieces:
 //!
-//! - [`compile`] — rebuilds the trained network from its
+//! - [`compile`](mod@compile) — rebuilds the trained network from its
 //!   [`ndsnn::config::RunConfig`] + parameter snapshot, folds BatchNorm
 //!   into frozen per-channel affine epilogues, packs masked weights into
 //!   CSR ([`ndsnn_tensor::Csr`], run by the [`ndsnn_sparse::csr`] kernels)

@@ -26,14 +26,22 @@
 //!
 //! # Index encodings
 //!
-//! The column-index set of each quantized layer serializes in whichever of
-//! three encodings measures smallest for its density:
+//! The writer serializes the column-index set of each quantized layer as
+//! whichever of two encodings is smaller for that set, with ties going to
+//! delta-varint ([`QuantWeight::encoding`]):
 //!
 //! - **bitmap** — `rows·cols` bits, one per position (wins when dense);
 //! - **delta-varint** — per row: LEB128 entry count, first column, then
-//!   LEB128 gaps to the previous column (wins when sparse);
-//! - **absolute** — per row: LEB128 entry count then little-endian `u32`
-//!   columns (wins only for extremely wide, nearly-empty rows).
+//!   LEB128 gaps to the previous column (wins when sparse).
+//!
+//! The reader also accepts **absolute** — per row: LEB128 entry count then
+//! little-endian `u32` columns — so artifacts that carry it still load. The
+//! writer never needs it, because it is never smaller than delta-varint:
+//! both start each row with the same count varint, and every later
+//! delta-varint value is a column or a gap below `cols`. `cols` is at most
+//! `2^24` (the quantizer refuses wider rows and the decoder caps dims at
+//! [`MAX_QUANT_DIM`]), so each such value takes at most 4 bytes, the fixed
+//! size of an absolute index.
 //!
 //! All three decode back to identical CSR parts; decoding treats input as
 //! hostile (truncation, trailing bytes, overlong varints, column overflow,
@@ -68,7 +76,8 @@ pub enum IndexEncoding {
     Bitmap,
     /// Per row: varint count, varint first column, varint gaps.
     DeltaVarint,
-    /// Per row: varint count, little-endian `u32` columns.
+    /// Per row: varint count, little-endian `u32` columns. Read, never
+    /// written.
     Absolute,
 }
 
@@ -100,25 +109,11 @@ impl IndexEncoding {
             IndexEncoding::Absolute => "absolute",
         }
     }
-
-    /// Parses a knob string (`bitmap`, `delta`/`delta-varint`, `absolute`).
-    /// `auto` and anything unrecognized return `None` (= measured choice).
-    pub fn parse(s: &str) -> Option<IndexEncoding> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "bitmap" => Some(IndexEncoding::Bitmap),
-            "delta" | "delta-varint" | "deltavarint" => Some(IndexEncoding::DeltaVarint),
-            "absolute" | "abs" => Some(IndexEncoding::Absolute),
-            _ => None,
-        }
-    }
 }
 
 /// Knobs controlling artifact quantization.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantOptions {
-    /// Force one index encoding for every quantized layer; `None` picks the
-    /// smallest measured encoding per layer.
-    pub encoding: Option<IndexEncoding>,
     /// Per-layer relative-L2 reconstruction error above which the layer
     /// keeps its f32 store.
     pub max_rel_error: f64,
@@ -127,7 +122,6 @@ pub struct QuantOptions {
 impl Default for QuantOptions {
     fn default() -> Self {
         QuantOptions {
-            encoding: None,
             max_rel_error: DEFAULT_QUANT_MAX_REL_ERROR,
         }
     }
@@ -178,13 +172,12 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u32> {
 /// A per-channel symmetric int8 weight in CSR form.
 ///
 /// In memory the index set is always expanded CSR so the gather-add kernels
-/// run the same regardless of how the artifact serialized it;
-/// [`QuantWeight::encoding`] only records the on-disk form.
+/// run the same regardless of how the artifact serialized it; the on-disk
+/// form ([`QuantWeight::encoding`]) is a function of the index set alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantWeight {
     csr: Csr<i8>,
     scales: Vec<f32>,
-    encoding: IndexEncoding,
 }
 
 impl QuantWeight {
@@ -193,7 +186,7 @@ impl QuantWeight {
     /// rely on (hostile-input safe): one finite non-negative scale per row,
     /// positive exactly on non-empty rows, values in `[-127, 127]`, and the
     /// per-row entry cap that excludes `i32` accumulator overflow.
-    pub fn new(csr: Csr<i8>, scales: Vec<f32>, encoding: IndexEncoding) -> Result<QuantWeight> {
+    pub fn new(csr: Csr<i8>, scales: Vec<f32>) -> Result<QuantWeight> {
         if scales.len() != csr.rows() {
             return Err(bad(format!(
                 "quant scales length {} != rows {}",
@@ -222,11 +215,7 @@ impl QuantWeight {
                 return Err(bad(format!("quant value -128 at row {r} breaks symmetry")));
             }
         }
-        Ok(QuantWeight {
-            csr,
-            scales,
-            encoding,
-        })
+        Ok(QuantWeight { csr, scales })
     }
 
     /// The int8 weight over the 2-D kernel view.
@@ -239,9 +228,18 @@ impl QuantWeight {
         &self.scales
     }
 
-    /// On-disk index encoding.
+    /// The index encoding the writer uses: bitmap when its section is
+    /// strictly smaller than the delta-varint stream, delta-varint
+    /// otherwise. Measured without building either.
     pub fn encoding(&self) -> IndexEncoding {
-        self.encoding
+        let m = &self.csr;
+        let mut delta_len = 0;
+        for_each_delta(m, |v| delta_len += varint_len(v));
+        if (m.rows() * m.cols()).div_ceil(8) < delta_len {
+            IndexEncoding::Bitmap
+        } else {
+            IndexEncoding::DeltaVarint
+        }
     }
 
     /// Reconstructed f32 value at `(r, c)` (`scale · q`, zero off-index) —
@@ -254,79 +252,48 @@ impl QuantWeight {
         }
     }
 
-    /// Serializes the column-index set in the weight's chosen encoding.
-    pub fn encode_indices(&self) -> Vec<u8> {
-        encode_index_stream(self.encoding, &self.csr)
+    /// The serialized column-index set in [`QuantWeight::encoding`].
+    pub fn encode_indices(&self) -> (IndexEncoding, Vec<u8>) {
+        let encoding = self.encoding();
+        let bytes = if encoding == IndexEncoding::Bitmap {
+            encode_bitmap(&self.csr)
+        } else {
+            encode_delta_varint(&self.csr)
+        };
+        (encoding, bytes)
     }
+}
 
-    /// Exact serialized byte length of the index set under `encoding`
-    /// (without building the stream) — the measurement behind auto-selection.
-    pub fn encoded_index_len(&self, encoding: IndexEncoding) -> usize {
-        let m = &self.csr;
-        match encoding {
-            IndexEncoding::Bitmap => (m.rows() * m.cols()).div_ceil(8),
-            IndexEncoding::DeltaVarint => {
-                let mut len = 0usize;
-                for r in 0..m.rows() {
-                    let row = m.row(r);
-                    len += varint_len(row.len() as u32);
-                    let mut prev: Option<u32> = None;
-                    for &c in row {
-                        len += varint_len(prev.map_or(c, |p| c - p));
-                        prev = Some(c);
-                    }
-                }
-                len
-            }
-            IndexEncoding::Absolute => {
-                let mut len = 4 * m.nnz();
-                for r in 0..m.rows() {
-                    len += varint_len(m.row(r).len() as u32);
-                }
-                len
-            }
+/// Visits the delta-varint values of `m` in stream order: per row, its
+/// entry count, then its first column and the gap to each later one.
+fn for_each_delta(m: &Csr<i8>, mut f: impl FnMut(u32)) {
+    for r in 0..m.rows() {
+        let row = m.row(r);
+        f(row.len() as u32);
+        let mut prev: Option<u32> = None;
+        for &c in row {
+            f(prev.map_or(c, |p| c - p));
+            prev = Some(c);
         }
     }
 }
 
-fn encode_index_stream(encoding: IndexEncoding, m: &Csr<i8>) -> Vec<u8> {
+fn encode_bitmap(m: &Csr<i8>) -> Vec<u8> {
     let (rows, cols) = m.dims();
-    match encoding {
-        IndexEncoding::Bitmap => {
-            let mut bits = vec![0u8; (rows * cols).div_ceil(8)];
-            for r in 0..rows {
-                for &c in m.row(r) {
-                    let bit = r * cols + c as usize;
-                    bits[bit / 8] |= 1 << (bit % 8);
-                }
-            }
-            bits
-        }
-        IndexEncoding::DeltaVarint => {
-            let mut out = Vec::new();
-            for r in 0..rows {
-                let row = m.row(r);
-                put_varint(&mut out, row.len() as u32);
-                let mut prev: Option<u32> = None;
-                for &c in row {
-                    put_varint(&mut out, prev.map_or(c, |p| c - p));
-                    prev = Some(c);
-                }
-            }
-            out
-        }
-        IndexEncoding::Absolute => {
-            let mut out = Vec::new();
-            for r in 0..rows {
-                let row = m.row(r);
-                put_varint(&mut out, row.len() as u32);
-                for &c in row {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-            }
-            out
+    let mut bits = vec![0u8; (rows * cols).div_ceil(8)];
+    for r in 0..rows {
+        for &c in m.row(r) {
+            let bit = r * cols + c as usize;
+            bits[bit / 8] |= 1 << (bit % 8);
         }
     }
+    bits
+}
+
+fn encode_delta_varint(m: &Csr<i8>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for_each_delta(m, |v| put_varint(&mut out, v));
+    out
 }
 
 /// Decodes an index stream back to CSR parts `(row_ptr, idx)`, checking
@@ -443,11 +410,8 @@ pub fn decode_index_stream(
 // Quantization
 
 /// Quantizes a frozen f32 store into int8 CSR and reports the relative-L2
-/// reconstruction error. `forced` overrides the measured encoding choice.
-pub fn quantize_store(
-    store: &WeightStore,
-    forced: Option<IndexEncoding>,
-) -> Result<(QuantWeight, f64)> {
+/// reconstruction error.
+pub fn quantize_store(store: &WeightStore) -> Result<(QuantWeight, f64)> {
     let (rows, cols, entries) = store_rows(store)?;
     if cols > MAX_QUANT_ROW_NNZ {
         return Err(InferError::Unsupported(format!(
@@ -485,20 +449,7 @@ pub fn quantize_store(
         (err_sq / norm_sq).sqrt()
     };
     let csr = Csr::from_parts(rows, cols, row_ptr, col_indices, values).map_err(bad)?;
-    let mut qw = QuantWeight::new(csr, scales, IndexEncoding::DeltaVarint)?;
-    qw.encoding = forced.unwrap_or_else(|| {
-        // Smallest measured index section wins; ties break toward the
-        // earlier entry so the choice is deterministic.
-        [
-            IndexEncoding::DeltaVarint,
-            IndexEncoding::Bitmap,
-            IndexEncoding::Absolute,
-        ]
-        .into_iter()
-        .min_by_key(|&e| qw.encoded_index_len(e))
-        .expect("non-empty candidate list")
-    });
-    Ok((qw, rel_error))
+    Ok((QuantWeight::new(csr, scales)?, rel_error))
 }
 
 /// Nonzero `(col, value)` entries per kernel-view row of an f32 store.
@@ -550,8 +501,8 @@ pub struct LayerQuantRow {
     pub f32_bytes: usize,
     /// Serialized bytes of the store the layer ended up with.
     pub bytes: usize,
-    /// `bitmap` / `delta` / `absolute` for quantized layers, `f32` for
-    /// layers that kept their original store.
+    /// `bitmap` / `delta` for quantized layers, `f32` for layers that kept
+    /// their original store.
     pub encoding: String,
     /// Relative-L2 reconstruction error of the int8 grid (0 for layers that
     /// were never candidates).
@@ -627,7 +578,7 @@ fn maybe_quantize(
     } else if !binary_in {
         (weight.clone(), "f32".to_string(), 0.0, false)
     } else {
-        match quantize_store(weight, opts.encoding) {
+        match quantize_store(weight) {
             Ok((qw, rel)) if rel <= opts.max_rel_error => {
                 let label = qw.encoding().label().to_string();
                 (WeightStore::QuantCsr(qw), label, rel, true)
@@ -780,23 +731,39 @@ mod tests {
         assert!(get_varint(&[0x80], &mut pos).is_err());
     }
 
+    /// Absolute index rows: the reader accepts them, the writer never
+    /// produces them.
+    fn encode_absolute(m: &Csr<i8>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in 0..m.rows() {
+            let row = m.row(r);
+            put_varint(&mut out, row.len() as u32);
+            for &c in row {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    /// Every index stream the reader accepts for `m`, with its encoding.
+    fn all_streams(m: &Csr<i8>) -> [(IndexEncoding, Vec<u8>); 3] {
+        [
+            (IndexEncoding::Bitmap, encode_bitmap(m)),
+            (IndexEncoding::DeltaVarint, encode_delta_varint(m)),
+            (IndexEncoding::Absolute, encode_absolute(m)),
+        ]
+    }
+
     #[test]
     fn every_encoding_round_trips_indices() {
         for keep in [3, 40, 97] {
             let store = random_store(7, 33, keep, 0x51EE + keep);
-            let (qw, _) = quantize_store(&store, None).unwrap();
-            for enc in [
-                IndexEncoding::Bitmap,
-                IndexEncoding::DeltaVarint,
-                IndexEncoding::Absolute,
-            ] {
-                let mut forced = qw.clone();
-                forced.encoding = enc;
-                let bytes = forced.encode_indices();
-                assert_eq!(bytes.len(), qw.encoded_index_len(enc), "{enc:?} len");
-                let (rp, cis) = decode_index_stream(enc, 7, 33, qw.csr().nnz(), &bytes).unwrap();
-                assert_eq!(cis, qw.csr().idx(), "{enc:?} cols at keep={keep}");
-                assert_eq!(rp, qw.csr().row_ptr(), "{enc:?} row_ptr at keep={keep}");
+            let (qw, _) = quantize_store(&store).unwrap();
+            let m = qw.csr();
+            for (enc, bytes) in all_streams(m) {
+                let (rp, cis) = decode_index_stream(enc, 7, 33, m.nnz(), &bytes).unwrap();
+                assert_eq!(cis, m.idx(), "{enc:?} cols at keep={keep}");
+                assert_eq!(rp, m.row_ptr(), "{enc:?} row_ptr at keep={keep}");
             }
         }
     }
@@ -804,19 +771,30 @@ mod tests {
     #[test]
     fn auto_selection_tracks_density() {
         // Near-dense → bitmap; sparse → delta-varint.
-        let (dense, _) = quantize_store(&random_store(8, 64, 95, 1), None).unwrap();
+        let (dense, _) = quantize_store(&random_store(8, 64, 95, 1)).unwrap();
         assert_eq!(dense.encoding(), IndexEncoding::Bitmap);
-        let (sparse, _) = quantize_store(&random_store(8, 64, 5, 2), None).unwrap();
+        let (sparse, _) = quantize_store(&random_store(8, 64, 5, 2)).unwrap();
         assert_eq!(sparse.encoding(), IndexEncoding::DeltaVarint);
-        // The winner really is the smallest.
-        for qw in [&dense, &sparse] {
-            let chosen = qw.encoded_index_len(qw.encoding());
-            for enc in [
-                IndexEncoding::Bitmap,
-                IndexEncoding::DeltaVarint,
-                IndexEncoding::Absolute,
-            ] {
-                assert!(chosen <= qw.encoded_index_len(enc));
+        // The widest row the quantizer accepts, holding only its last
+        // column: count 1, then column 2^24 − 1 as a 4-byte varint, which
+        // ties the 4-byte absolute index and goes to delta-varint.
+        let cols = MAX_QUANT_ROW_NNZ;
+        let widest =
+            Csr::from_parts(1, cols, vec![0, 1], vec![cols as u32 - 1], vec![1.0]).unwrap();
+        let (wide, _) = quantize_store(&WeightStore::Csr(widest)).unwrap();
+        assert_eq!(
+            wide.encode_indices(),
+            (IndexEncoding::DeltaVarint, vec![1, 0xFF, 0xFF, 0xFF, 0x07])
+        );
+        // The written section is the smallest of the three, absolute included.
+        for qw in [&dense, &sparse, &wide] {
+            let written = qw.encode_indices().1.len();
+            for (enc, bytes) in all_streams(qw.csr()) {
+                assert!(
+                    written <= bytes.len(),
+                    "{enc:?}: {} < {written}",
+                    bytes.len()
+                );
             }
         }
     }
@@ -824,7 +802,7 @@ mod tests {
     #[test]
     fn quantization_error_is_bounded_and_reported() {
         let store = random_store(16, 48, 30, 7);
-        let (qw, rel) = quantize_store(&store, None).unwrap();
+        let (qw, rel) = quantize_store(&store).unwrap();
         // Per-channel int8 on uniform-ish weights sits far below 1%.
         assert!(rel < 0.01, "rel error {rel}");
         // Reconstruction agrees with dequantize_at within the rounding step.
@@ -847,7 +825,7 @@ mod tests {
     #[test]
     fn zero_rows_get_zero_scale_and_no_entries() {
         let t = Tensor::from_vec([2, 3], vec![0.0, 0.0, 0.0, 1.0, 0.0, -0.5]).unwrap();
-        let (qw, rel) = quantize_store(&WeightStore::Dense(t), None).unwrap();
+        let (qw, rel) = quantize_store(&WeightStore::Dense(t)).unwrap();
         assert_eq!(qw.scales()[0], 0.0);
         assert!(qw.scales()[1] > 0.0);
         assert_eq!(qw.csr().row_ptr(), &[0, 0, 2]);
@@ -866,7 +844,7 @@ mod tests {
         };
         let build = |scales, values, cis, rp| {
             let csr = Csr::from_parts(2, 4, rp, cis, values).map_err(bad)?;
-            QuantWeight::new(csr, scales, IndexEncoding::Absolute)
+            QuantWeight::new(csr, scales)
         };
         let (s, v, c, r) = ok();
         assert!(build(s, v, c, r).is_ok());
@@ -898,17 +876,10 @@ mod tests {
     #[test]
     fn hostile_index_streams_are_rejected() {
         let store = random_store(5, 19, 35, 42);
-        let (qw, _) = quantize_store(&store, None).unwrap();
+        let (qw, _) = quantize_store(&store).unwrap();
         let (rows, cols) = qw.csr().dims();
         let nnz = qw.csr().nnz();
-        for enc in [
-            IndexEncoding::Bitmap,
-            IndexEncoding::DeltaVarint,
-            IndexEncoding::Absolute,
-        ] {
-            let mut forced = qw.clone();
-            forced.encoding = enc;
-            let bytes = forced.encode_indices();
+        for (enc, bytes) in all_streams(qw.csr()) {
             // Truncation at every offset either errors or (never) matches.
             for cut in 0..bytes.len() {
                 assert!(
@@ -942,9 +913,7 @@ mod tests {
         }
         assert!(decode_index_stream(IndexEncoding::DeltaVarint, rows, cols, 2, &dup).is_err());
         // Bitmap with non-zero padding bits.
-        let mut forced = qw.clone();
-        forced.encoding = IndexEncoding::Bitmap;
-        let mut pad = forced.encode_indices();
+        let mut pad = encode_bitmap(qw.csr());
         let used = rows * cols;
         if used % 8 != 0 {
             let last = pad.len() - 1;
@@ -956,7 +925,7 @@ mod tests {
     #[test]
     fn dequantize_to_csr_matches_pointwise() {
         let store = random_store(6, 21, 40, 99);
-        let (qw, _) = quantize_store(&store, None).unwrap();
+        let (qw, _) = quantize_store(&store).unwrap();
         let csr = dequantize_to_csr(&qw).unwrap();
         let (rows, cols) = qw.csr().dims();
         for r in 0..rows {
@@ -1040,7 +1009,7 @@ mod tests {
         assert_eq!(qart.manifest, art.manifest);
         // Quantized rows report their on-disk encoding and shrink.
         for r in rows.iter().filter(|r| r.quantized) {
-            assert!(["bitmap", "delta", "absolute"].contains(&r.encoding.as_str()));
+            assert!(["bitmap", "delta"].contains(&r.encoding.as_str()));
             assert!(
                 r.bytes < r.f32_bytes,
                 "{}: {} !< {}",
@@ -1053,20 +1022,5 @@ mod tests {
             assert_eq!(r.encoding, "f32");
             assert_eq!(r.bytes, r.f32_bytes);
         }
-    }
-
-    #[test]
-    fn encoding_knob_parse_is_forgiving() {
-        assert_eq!(
-            IndexEncoding::parse(" Bitmap "),
-            Some(IndexEncoding::Bitmap)
-        );
-        assert_eq!(
-            IndexEncoding::parse("delta-varint"),
-            Some(IndexEncoding::DeltaVarint)
-        );
-        assert_eq!(IndexEncoding::parse("abs"), Some(IndexEncoding::Absolute));
-        assert_eq!(IndexEncoding::parse("auto"), None);
-        assert_eq!(IndexEncoding::parse("???"), None);
     }
 }

@@ -9,7 +9,9 @@ use std::sync::Arc;
 
 use ndsnn::checkpoint::encode_blobs;
 use ndsnn::recovery::BlobWriter;
-use ndsnn_infer::{quantize_artifact, Artifact, Executor, Manifest, Op, QuantOptions, WeightStore};
+use ndsnn_infer::{
+    quantize_artifact, Artifact, Executor, Manifest, Op, QuantOptions, QuantWeight, WeightStore,
+};
 use ndsnn_tensor::Tensor;
 
 /// Flatten → LIF → quantized linear: the smallest artifact that exercises
@@ -190,14 +192,14 @@ fn manifest_blob(magic: &str, version: u64) -> Vec<u8> {
     w.finish()
 }
 
-/// One-op graph (`Linear` 2×4) whose weight store bytes come from `store`.
+/// One-op graph (`Linear` 2×40) whose weight store bytes come from `store`.
 fn crafted_artifact(magic: &str, version: u64, store: impl FnOnce(&mut BlobWriter)) -> Vec<u8> {
     let mut g = BlobWriter::new();
     g.put_usize(1);
     g.put_u8(0); // Linear op tag
     g.put_str("fc");
     g.put_usize(2); // out_features
-    g.put_usize(4); // in_features
+    g.put_usize(40); // in_features
     store(&mut g);
     g.put_u8(0); // no bias
     let mut entries = BTreeMap::new();
@@ -206,12 +208,14 @@ fn crafted_artifact(magic: &str, version: u64, store: impl FnOnce(&mut BlobWrite
     encode_blobs(&entries)
 }
 
-/// Valid 2×4 quantized store: row 0 holds cols {0, 2}, row 1 holds {1}.
-/// Callers override individual fields to make it hostile.
+/// Valid 2×40 quantized store: row 0 holds cols {0, 2}, row 1 holds {1}.
+/// Its delta-varint stream (5 bytes) is smaller than its bitmap (10), so
+/// the writer keeps tag 1. Callers override individual fields to make it
+/// hostile.
 fn quant_store(w: &mut BlobWriter, encoding_tag: u8, scales: &[f32], values: &[u8], stream: &[u8]) {
     w.put_u8(2); // store kind: QuantCsr
     w.put_usize(2);
-    w.put_usize(4);
+    w.put_usize(40);
     w.put_u8(encoding_tag);
     w.put_usize(scales.len());
     for &sv in scales {
@@ -286,7 +290,7 @@ fn minus_128_value_is_rejected() {
 
 #[test]
 fn delta_overflow_past_cols_is_rejected() {
-    // Gap of 200 from col 0 lands far past cols = 4.
+    // Gap of 200 from col 0 lands far past cols = 40.
     assert!(
         decode_crafted(|w| quant_store(w, 1, &GOOD_SCALES, &GOOD_VALUES, &[2, 0, 200, 1, 1]))
             .is_err()
@@ -340,10 +344,84 @@ fn non_ascending_absolute_indices_are_rejected() {
     assert!(decode_crafted(|w| quant_store(w, 2, &GOOD_SCALES, &GOOD_VALUES, &stream)).is_err());
 }
 
+/// Absolute index rows, which the writer never produces but the reader
+/// accepts: a LEB128 entry count (one byte here, every count is below 128),
+/// then each column as a little-endian `u32`.
+fn absolute_stream(rows: &[&[u32]]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for row in rows {
+        out.push(row.len() as u8);
+        for c in *row {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// The quantized weight of a crafted one-linear artifact.
+fn quant_weight(art: &Artifact) -> &QuantWeight {
+    match &art.ops[0] {
+        Op::Linear {
+            weight: WeightStore::QuantCsr(q),
+            ..
+        } => q,
+        op => panic!("expected a quantized linear, got {op:?}"),
+    }
+}
+
+/// Logit bits of a crafted artifact's quantized weight, run as a linear
+/// layer behind a flatten on a binary input.
+fn forward_bits(art: &Artifact) -> Vec<u32> {
+    let q = quant_weight(art);
+    let (rows, cols) = q.csr().dims();
+    let flatten = Op::Flatten {
+        name: "f".to_string(),
+    };
+    let linear = Op::Linear {
+        name: "fc".to_string(),
+        out_features: rows,
+        in_features: cols,
+        weight: WeightStore::QuantCsr(q.clone()),
+        bias: None,
+    };
+    let manifest = Manifest {
+        in_channels: cols,
+        image_size: 1,
+        num_classes: rows,
+        ..art.manifest.clone()
+    };
+    let ops = vec![flatten, linear];
+    let fired = (0..cols).map(|c| f32::from(u8::from(c != 1))).collect();
+    let images = Tensor::from_vec([1, cols, 1, 1], fired).unwrap();
+    let logits = Executor::new(Arc::new(Artifact { manifest, ops }))
+        .forward(&images)
+        .unwrap();
+    logits.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn absolute_encoded_store_still_loads() {
+    // The GOOD_DELTA entries as absolute rows.
+    let stream = absolute_stream(&[&[0, 2], &[1]]);
+    let abs = decode_crafted(|w| quant_store(w, 2, &GOOD_SCALES, &GOOD_VALUES, &stream))
+        .expect("tag-2 store decodes");
+    let delta = decode_crafted(|w| quant_store(w, 1, &GOOD_SCALES, &GOOD_VALUES, &GOOD_DELTA))
+        .expect("baseline decodes");
+    let (a, d) = (quant_weight(&abs), quant_weight(&delta));
+    assert_eq!((a.csr(), a.scales()), (d.csr(), d.scales()));
+    assert_eq!(forward_bits(&abs), forward_bits(&delta));
+    // Re-encoding writes the writer's choice, not the tag the store was
+    // read with: exactly the tag-1 store.
+    let tag1 = crafted_artifact("NDINF2", 2, |w| {
+        quant_store(w, 1, &GOOD_SCALES, &GOOD_VALUES, &GOOD_DELTA)
+    });
+    assert_eq!(abs.encode(), tag1);
+}
+
 #[test]
 fn nonzero_bitmap_padding_is_rejected() {
-    // 2×4 grid = 8 bits = exactly one byte; grow to 2×5 so the second byte
-    // has 6 padding bits, then set one of them.
+    // A 2×5 grid is 10 bits, so the second bitmap byte has 6 padding
+    // bits; set one of them.
     let w = |pad_bit: bool| {
         move |bw: &mut BlobWriter| {
             bw.put_u8(2);

@@ -10,6 +10,9 @@
 //! 3. **NDINF1 byte stability** — artifacts without quantized stores still
 //!    write the exact version-1 bytes (magic pinned, round trip stable, and
 //!    a golden digest of a handcrafted artifact frozen in this test).
+//! 4. **NDINF2 byte stability** — default quantization of a handcrafted
+//!    artifact, whose layers pick both the bitmap and the delta-varint index
+//!    encoding, writes pinned bytes.
 
 use std::collections::BTreeMap;
 
@@ -194,5 +197,76 @@ fn f32_encoding_matches_golden_digest() {
         0x3489A55074102C22,
         "NDINF1 byte stream changed (len {})",
         bytes.len()
+    );
+}
+
+/// Handcrafted flatten → LIF → linear → LIF → linear artifact. Every
+/// hidden weight is nonzero (magnitudes 1/13..13/13, alternating signs), so
+/// that layer's index set writes as a bitmap; the output layer keeps three
+/// entries per 64-wide row and writes as delta-varint.
+fn golden_int8_source() -> Artifact {
+    let lif = |name: &str| Op::Lif {
+        name: name.to_string(),
+        alpha: 0.5,
+        v_threshold: 1.0,
+        hard_reset: false,
+    };
+    let hidden = (0..64 * 16)
+        .map(|i| ((i * 7) % 13 + 1) as f32 / if i % 2 == 0 { 13.0 } else { -13.0 })
+        .collect();
+    let mut out = vec![0.0f32; 3 * 64];
+    for r in 0..3 {
+        for (k, &v) in [0.5f32, -0.75, 1.0].iter().enumerate() {
+            out[r * 64 + r * 5 + k * 20] = v;
+        }
+    }
+    let linear = |name: &str, rows: usize, cols: usize, w: Vec<f32>| Op::Linear {
+        name: name.to_string(),
+        out_features: rows,
+        in_features: cols,
+        weight: WeightStore::Dense(Tensor::from_vec([rows, cols], w).unwrap()),
+        bias: Some(Tensor::from_slice(&vec![0.125; rows])),
+    };
+    Artifact {
+        manifest: Manifest {
+            arch: "golden-int8".to_string(),
+            timesteps: 2,
+            in_channels: 1,
+            image_size: 4,
+            num_classes: 3,
+            mask_digest: 0xC0DE,
+            config_json: "{\"golden\":\"int8\"}".to_string(),
+            densities: vec![],
+        },
+        ops: vec![
+            Op::Flatten {
+                name: "f".to_string(),
+            },
+            lif("l1"),
+            linear("hidden", 64, 16, hidden),
+            lif("l2"),
+            linear("out", 3, 64, out),
+        ],
+    }
+}
+
+#[test]
+fn int8_encoding_matches_golden_digest() {
+    // The NDINF2 bytes of default quantization are frozen: a change to the
+    // writer's index-encoding choice or layout moves this digest.
+    let (qart, rows) =
+        quantize_artifact(&golden_int8_source(), &QuantOptions::default()).expect("quantize");
+    let chosen: Vec<&str> = rows.iter().map(|r| r.encoding.as_str()).collect();
+    assert_eq!(chosen, ["bitmap", "delta"], "{rows:?}");
+    let bytes = qart.encode();
+    assert_eq!(
+        fnv1a(&bytes),
+        0x74D754F6AAFC4197,
+        "NDINF2 byte stream changed (len {})",
+        bytes.len()
+    );
+    assert_eq!(
+        Artifact::decode(&bytes).expect("round trip").encode(),
+        bytes
     );
 }

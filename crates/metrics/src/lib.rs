@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod confusion;
 pub mod cost;
 pub mod fleet;
 pub mod flops;

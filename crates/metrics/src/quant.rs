@@ -100,8 +100,8 @@ pub struct SizeRow {
     pub f32_bytes: usize,
     /// Bytes the same weights occupy after compression.
     pub compressed_bytes: usize,
-    /// Index encoding label (`"bitmap"`, `"delta"`, `"absolute"`, or
-    /// `"f32"` for layers the quantizer kept in float).
+    /// Index encoding label (`"bitmap"`, `"delta"`, or `"f32"` for layers
+    /// the quantizer kept in float).
     pub encoding: String,
     /// Relative L2 reconstruction error of the quantized weights.
     pub rel_error: f64,

@@ -67,16 +67,6 @@ impl Sequential {
             .collect()
     }
 
-    /// Per-layer spike-execution statistics (name, stats) for children that
-    /// saw at least one spike batch.
-    pub fn spike_exec_stats_per_layer(&self) -> Vec<(String, SpikeExecStats)> {
-        self.layers
-            .iter()
-            .map(|l| (l.name().to_string(), l.spike_exec_stats()))
-            .filter(|(_, s)| s.elems > 0 || s.gather_steps > 0)
-            .collect()
-    }
-
     /// Per-layer active-set backward statistics (name, stats) for children
     /// that saw at least one gradient active set.
     pub fn grad_exec_stats_per_layer(&self) -> Vec<(String, SpikeExecStats)> {

@@ -167,186 +167,6 @@ impl CosineSchedule {
     }
 }
 
-/// Adam hyper-parameters (Kingma & Ba). The paper trains with SGD (§IV.A);
-/// Adam is provided because much of the SNN literature — including the
-/// SpikingJelly examples the paper's stack builds on — defaults to it, and
-/// downstream users will expect both.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdamConfig {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay β₁.
-    pub beta1: f32,
-    /// Second-moment decay β₂.
-    pub beta2: f32,
-    /// Numerical floor ε.
-    pub eps: f32,
-    /// Decoupled weight decay (AdamW-style); 0 disables.
-    pub weight_decay: f32,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        AdamConfig {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-        }
-    }
-}
-
-/// Adam / AdamW optimizer with bias-corrected moment estimates.
-#[derive(Debug)]
-pub struct Adam {
-    config: AdamConfig,
-    lr: f32,
-    step_count: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Creates an optimizer.
-    pub fn new(config: AdamConfig) -> Self {
-        Adam {
-            config,
-            lr: config.lr,
-            step_count: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Overrides the learning rate (used by schedulers).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Exports `(step_count, first moments, second moments)` for full-state
-    /// checkpointing (the moment buffers are in parameter visit order).
-    pub fn state(&self) -> (u64, &[Tensor], &[Tensor]) {
-        (self.step_count, &self.m, &self.v)
-    }
-
-    /// Restores state exported by [`Adam::state`]. The bias-correction
-    /// terms depend on `step_count`, so resuming without it would rescale
-    /// every subsequent update.
-    pub fn set_state(&mut self, step_count: u64, m: Vec<Tensor>, v: Vec<Tensor>) {
-        self.step_count = step_count;
-        self.m = m;
-        self.v = v;
-    }
-
-    /// Applies one update step to every parameter of `model`.
-    pub fn step(&mut self, model: &mut dyn Layer) -> Result<()> {
-        self.step_count += 1;
-        let cfg = self.config;
-        let lr = self.lr;
-        let t = self.step_count as f32;
-        let bc1 = 1.0 - cfg.beta1.powf(t);
-        let bc2 = 1.0 - cfg.beta2.powf(t);
-        let (m, v) = (&mut self.m, &mut self.v);
-        let mut idx = 0usize;
-        let mut failure: Option<SnnError> = None;
-        model.for_each_param(&mut |p| {
-            if failure.is_some() {
-                return;
-            }
-            if m.len() <= idx {
-                m.push(Tensor::zeros(p.value.shape().clone()));
-                v.push(Tensor::zeros(p.value.shape().clone()));
-            }
-            if m[idx].dims() != p.value.dims() {
-                failure = Some(SnnError::InvalidState(format!(
-                    "optimizer state shape changed for {}",
-                    p.name
-                )));
-                return;
-            }
-            let md = m[idx].as_mut_slice();
-            let vd = v[idx].as_mut_slice();
-            let wd = p.value.as_mut_slice();
-            let gd = p.grad.as_slice();
-            for i in 0..wd.len() {
-                let g = gd[i];
-                md[i] = cfg.beta1 * md[i] + (1.0 - cfg.beta1) * g;
-                vd[i] = cfg.beta2 * vd[i] + (1.0 - cfg.beta2) * g * g;
-                let m_hat = md[i] / bc1;
-                let v_hat = vd[i] / bc2;
-                // Decoupled decay (AdamW): shrink weights directly.
-                wd[i] -= lr * (m_hat / (v_hat.sqrt() + cfg.eps) + cfg.weight_decay * wd[i]);
-            }
-            idx += 1;
-        });
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Linear warm-up into cosine annealing: `lr` rises linearly from
-/// `max/warmup` to `max` over the first `warmup` steps, then follows
-/// [`CosineSchedule`] for the remaining `total − warmup` steps.
-///
-/// Large-batch SGD on spiking networks benefits from the same warm-up
-/// heuristics as ANNs; this mirrors the common recipe without changing the
-/// paper-default behaviour (`warmup = 0` degenerates to pure cosine).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WarmupCosineSchedule {
-    /// Peak learning rate.
-    pub max: f32,
-    /// Final learning rate.
-    pub min: f32,
-    /// Warm-up steps.
-    pub warmup: usize,
-    /// Total steps (warm-up + annealing).
-    pub total: usize,
-}
-
-impl WarmupCosineSchedule {
-    /// Creates a schedule; `warmup` is clamped to `total`.
-    pub fn new(max: f32, min: f32, warmup: usize, total: usize) -> Self {
-        WarmupCosineSchedule {
-            max,
-            min,
-            warmup: warmup.min(total),
-            total,
-        }
-    }
-
-    /// The scheduled value at step `t`.
-    pub fn at(&self, t: usize) -> f32 {
-        if t < self.warmup {
-            self.max * (t + 1) as f32 / self.warmup as f32
-        } else {
-            CosineSchedule::new(self.max, self.min, self.total - self.warmup).at(t - self.warmup)
-        }
-    }
-}
-
-/// Rescales all parameter gradients so their global L2 norm is at most
-/// `max_norm`; returns the pre-clip norm. A no-op when already within the
-/// budget. Surrogate-gradient BPTT can produce occasional spikes in gradient
-/// magnitude; clipping keeps high-lr runs stable.
-pub fn clip_grad_norm(model: &mut dyn Layer, max_norm: f32) -> f32 {
-    let mut sq = 0.0f64;
-    model.for_each_param(&mut |p| sq += p.grad.sq_norm() as f64);
-    let norm = (sq as f32).sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        model.for_each_param(&mut |p| p.grad.scale_in_place(scale));
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,121 +256,5 @@ mod tests {
     fn zero_total_schedule() {
         let s = CosineSchedule::new(1.0, 0.25, 0);
         assert_eq!(s.at(0), 0.25);
-    }
-
-    #[test]
-    fn adam_descends_quadratic() {
-        // Minimize f(w) = ||w − 3||² with Adam on a 1-param "model".
-        let mut rng = StdRng::seed_from_u64(70);
-        let mut net =
-            Sequential::new("n").with(Box::new(Linear::new("fc", 1, 1, false, &mut rng).unwrap()));
-        net.for_each_param(&mut |p| p.value.fill(0.0));
-        let mut opt = Adam::new(AdamConfig {
-            lr: 0.1,
-            ..Default::default()
-        });
-        for _ in 0..200 {
-            net.for_each_param(&mut |p| {
-                let w = p.value.as_slice()[0];
-                p.grad.fill(2.0 * (w - 3.0));
-            });
-            opt.step(&mut net).unwrap();
-        }
-        net.for_each_param(&mut |p| {
-            let w = p.value.as_slice()[0];
-            assert!((w - 3.0).abs() < 0.1, "Adam did not converge: w = {w}");
-        });
-    }
-
-    #[test]
-    fn adam_first_step_is_lr_sized() {
-        // With bias correction the very first step has magnitude ≈ lr.
-        let mut rng = StdRng::seed_from_u64(71);
-        let mut net =
-            Sequential::new("n").with(Box::new(Linear::new("fc", 1, 1, false, &mut rng).unwrap()));
-        net.for_each_param(&mut |p| {
-            p.value.fill(0.0);
-            p.grad.fill(5.0);
-        });
-        let mut opt = Adam::new(AdamConfig {
-            lr: 0.01,
-            ..Default::default()
-        });
-        opt.step(&mut net).unwrap();
-        net.for_each_param(&mut |p| {
-            let w = p.value.as_slice()[0];
-            assert!((w + 0.01).abs() < 1e-4, "first Adam step {w}");
-        });
-    }
-
-    #[test]
-    fn adamw_decay_shrinks_without_gradient() {
-        let mut rng = StdRng::seed_from_u64(72);
-        let mut net =
-            Sequential::new("n").with(Box::new(Linear::new("fc", 1, 1, false, &mut rng).unwrap()));
-        net.for_each_param(&mut |p| {
-            p.value.fill(2.0);
-            p.grad.fill(0.0);
-        });
-        let mut opt = Adam::new(AdamConfig {
-            lr: 0.1,
-            weight_decay: 0.5,
-            ..Default::default()
-        });
-        opt.step(&mut net).unwrap();
-        // w ← w − lr·wd·w = 2 − 0.1·0.5·2 = 1.9 (moment terms are zero).
-        net.for_each_param(&mut |p| {
-            assert!((p.value.as_slice()[0] - 1.9).abs() < 1e-5);
-        });
-    }
-
-    #[test]
-    fn warmup_rises_then_anneals() {
-        let s = WarmupCosineSchedule::new(1.0, 0.0, 4, 104);
-        assert!((s.at(0) - 0.25).abs() < 1e-6);
-        assert!((s.at(3) - 1.0).abs() < 1e-6);
-        // Peak right after warm-up, then monotone decline.
-        let mut prev = f32::INFINITY;
-        for t in 4..=104 {
-            let v = s.at(t);
-            assert!(v <= prev + 1e-6, "rose during annealing at t={t}");
-            prev = v;
-        }
-        assert!(s.at(104).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warmup_zero_degenerates_to_cosine() {
-        let w = WarmupCosineSchedule::new(0.5, 0.1, 0, 50);
-        let c = CosineSchedule::new(0.5, 0.1, 50);
-        for t in [0, 10, 25, 50] {
-            assert!((w.at(t) - c.at(t)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn clip_rescales_large_gradients() {
-        let mut rng = StdRng::seed_from_u64(60);
-        let mut net =
-            Sequential::new("n").with(Box::new(Linear::new("fc", 3, 3, false, &mut rng).unwrap()));
-        net.for_each_param(&mut |p| p.grad.fill(10.0));
-        let pre = clip_grad_norm(&mut net, 1.0);
-        assert!((pre - 30.0).abs() < 1e-3); // sqrt(9 · 100)
-        let mut post_sq = 0.0f32;
-        net.for_each_param(&mut |p| post_sq += p.grad.sq_norm());
-        assert!((post_sq.sqrt() - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn clip_noop_when_small() {
-        let mut rng = StdRng::seed_from_u64(61);
-        let mut net =
-            Sequential::new("n").with(Box::new(Linear::new("fc", 2, 2, false, &mut rng).unwrap()));
-        net.for_each_param(&mut |p| p.grad.fill(0.1));
-        let before = 0.1f32;
-        clip_grad_norm(&mut net, 100.0);
-        net.for_each_param(&mut |p| {
-            assert!(p.grad.as_slice().iter().all(|&g| (g - before).abs() < 1e-7))
-        });
     }
 }

@@ -133,11 +133,6 @@ pub fn layer_densities(
     }
 }
 
-/// Converts densities to sparsities.
-pub fn to_sparsities(densities: &[f64]) -> Vec<f64> {
-    densities.iter().map(|d| 1.0 - d).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@ use crate::mask::MaskSet;
 /// union, the engine RNG stream position, and the drop-and-grow history.
 ///
 /// Engines without internal state (dense) export an empty snapshot; engines
-/// whose state cannot yet be captured (LTH, ADMM, structured) return `None`
+/// whose state cannot yet be captured (LTH, ADMM) return `None`
 /// from [`SparseEngine::export_snapshot`] so callers can refuse to write
 /// checkpoints that would silently resume wrong.
 #[derive(Debug, Clone, Default)]

@@ -16,8 +16,7 @@
 //! - [`lth`]: iterative magnitude pruning with rewinding,
 //! - [`admm`]: train-prune-retrain via ADMM,
 //! - [`csr`], [`memory`]: frozen-weight CSR kernels and the §III.D
-//!   memory-footprint model,
-//! - [`structured`]: filter-level pruning (extension beyond the paper).
+//!   memory-footprint model.
 //!
 //! ## Example: run one NDSNN drop-and-grow round
 //! ```
@@ -52,6 +51,5 @@ pub mod ndsnn;
 pub mod rigl;
 pub mod schedule;
 pub mod set;
-pub mod structured;
 
 pub use error::{Result, SparseError};

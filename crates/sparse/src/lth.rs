@@ -30,10 +30,6 @@ pub struct LthConfig {
     /// Whether to rewind surviving weights to their initial values after
     /// pruning (true = the original LTH recipe).
     pub rewind: bool,
-    /// Pruning scope: `false` (default) prunes each layer to the round's
-    /// sparsity independently; `true` ranks magnitudes across *all* layers
-    /// jointly (the global-magnitude variant of Frankle & Carlin).
-    pub global: bool,
 }
 
 impl LthConfig {
@@ -51,7 +47,6 @@ impl LthConfig {
             final_sparsity,
             rounds,
             rewind: true,
-            global: false,
         })
     }
 
@@ -123,17 +118,9 @@ impl LthController {
         }
         self.round += 1;
         let theta = self.config.sparsity_after_round(self.round);
-        // For global pruning, find the magnitude threshold across all layers
-        // plus a tie quota so the kept count is exact.
-        let global_cut = if self.config.global {
-            Some(Self::global_threshold(model, theta))
-        } else {
-            None
-        };
         let masks = &mut self.masks;
         let initial = &self.initial_weights;
         let rewind = self.config.rewind;
-        let mut tie_quota = global_cut.map(|(_, q)| q).unwrap_or(0);
         model.for_each_param(&mut |p| {
             if !p.is_sparsifiable() {
                 return;
@@ -142,26 +129,8 @@ impl LthController {
             // so they can only be re-selected if the keep budget exceeds the
             // active count (which never happens on a decreasing-density
             // schedule).
-            let mask = match global_cut {
-                Some((thr, _)) => {
-                    let mut mask = Tensor::zeros(p.value.dims());
-                    let md = mask.as_mut_slice();
-                    for (m, &w) in md.iter_mut().zip(p.value.as_slice()) {
-                        let a = w.abs();
-                        if a > thr {
-                            *m = 1.0;
-                        } else if a == thr && tie_quota > 0 {
-                            *m = 1.0;
-                            tie_quota -= 1;
-                        }
-                    }
-                    mask
-                }
-                None => {
-                    let keep = ((p.len() as f64) * (1.0 - theta)).round() as usize;
-                    top_magnitude_mask(&p.value, keep)
-                }
-            };
+            let keep = ((p.len() as f64) * (1.0 - theta)).round() as usize;
+            let mask = top_magnitude_mask(&p.value, keep);
             if rewind {
                 if let Some(w0) = initial.get(&p.name) {
                     p.value = w0.clone();
@@ -175,31 +144,6 @@ impl LthController {
             masks.insert(p.name.clone(), mask);
         });
         Ok(())
-    }
-
-    /// Computes the global magnitude threshold for target sparsity `theta`:
-    /// returns `(threshold, tie_quota)` where entries strictly above the
-    /// threshold are kept and `tie_quota` entries exactly at it fill the
-    /// remaining budget (deterministically, in parameter-visit order).
-    fn global_threshold(model: &mut dyn Layer, theta: f64) -> (f32, usize) {
-        let mut mags: Vec<f32> = Vec::new();
-        model.for_each_param(&mut |p| {
-            if p.is_sparsifiable() {
-                mags.extend(p.value.as_slice().iter().map(|w| w.abs()));
-            }
-        });
-        let total = mags.len();
-        let keep = ((total as f64) * (1.0 - theta)).round() as usize;
-        if keep == 0 {
-            return (f32::INFINITY, 0);
-        }
-        if keep >= total {
-            return (f32::NEG_INFINITY, 0);
-        }
-        let (_, thr, _) = mags.select_nth_unstable_by(keep - 1, |a, b| b.partial_cmp(a).unwrap());
-        let thr = *thr;
-        let greater = mags.iter().filter(|&&a| a > thr).count();
-        (thr, keep - greater)
     }
 }
 
@@ -368,72 +312,6 @@ mod tests {
             }
         });
         assert!(survivors_are_2);
-    }
-
-    #[test]
-    fn global_pruning_hits_exact_overall_sparsity() {
-        let mut m = model();
-        let mut cfg = LthConfig::new(0.9, 1).unwrap();
-        cfg.global = true;
-        cfg.rewind = false;
-        let mut c = LthController::new(cfg);
-        c.init(&mut m).unwrap();
-        c.advance_round(&mut m).unwrap();
-        assert!(
-            (c.sparsity() - 0.9).abs() < 1e-3,
-            "global sparsity {}",
-            c.sparsity()
-        );
-        // Global pruning may leave layers at *different* sparsities.
-        let per_layer = c.mask_set().unwrap().per_layer_sparsity();
-        assert_eq!(per_layer.len(), 2);
-    }
-
-    #[test]
-    fn global_pruning_keeps_largest_magnitudes_across_layers() {
-        // Layer fc1 gets tiny weights, fc2 large ones: global pruning to 50%
-        // must keep far more of fc2 than layer-wise pruning would.
-        let mut m = model();
-        m.for_each_param(&mut |p| {
-            let v = if p.name.starts_with("fc1") { 0.01 } else { 1.0 };
-            let n = p.len();
-            for (i, w) in p.value.as_mut_slice().iter_mut().enumerate() {
-                *w = v * (1.0 + i as f32 / n as f32);
-            }
-        });
-        let mut cfg = LthConfig::new(0.5, 1).unwrap();
-        cfg.global = true;
-        cfg.rewind = false;
-        let mut c = LthController::new(cfg);
-        c.init(&mut m).unwrap();
-        c.advance_round(&mut m).unwrap();
-        let per_layer = c.mask_set().unwrap().per_layer_sparsity();
-        let fc1 = per_layer
-            .iter()
-            .find(|(n, _)| n.starts_with("fc1"))
-            .unwrap()
-            .1;
-        let fc2 = per_layer
-            .iter()
-            .find(|(n, _)| n.starts_with("fc2"))
-            .unwrap()
-            .1;
-        assert!(fc2 < 0.01, "large-magnitude layer pruned: {fc2}");
-        assert!(fc1 > 0.6, "small-magnitude layer kept: {fc1}");
-    }
-
-    #[test]
-    fn global_pruning_handles_ties_exactly() {
-        // All weights identical: tie quota must land exactly on the target.
-        let mut m = model();
-        m.for_each_param(&mut |p| p.value.fill(1.0));
-        let mut cfg = LthConfig::new(0.75, 1).unwrap();
-        cfg.global = true;
-        cfg.rewind = false;
-        let mut c = LthController::new(cfg);
-        c.init(&mut m).unwrap();
-        c.advance_round(&mut m).unwrap();
-        assert!((c.sparsity() - 0.75).abs() < 1e-3, "{}", c.sparsity());
     }
 
     #[test]

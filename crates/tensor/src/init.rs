@@ -73,15 +73,6 @@ pub fn kaiming_normal(shape: impl Into<Shape>, rng: &mut impl Rng) -> Tensor {
     normal(shape, 0.0, std, rng)
 }
 
-/// Xavier/Glorot uniform initialization: `U(-b, b)` with
-/// `b = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(shape: impl Into<Shape>, rng: &mut impl Rng) -> Tensor {
-    let shape = shape.into();
-    let (fan_in, fan_out) = fan_in_out(shape.dims());
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    uniform(shape, -bound, bound, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -155,24 +155,6 @@ pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     );
 }
 
-/// Matrix–vector product `y = A(m×k) · x(k)`.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    let (m, k) = check2d(a)?;
-    if x.len() != k {
-        return Err(TensorError::MatmulDimMismatch {
-            lhs_cols: k,
-            rhs_rows: x.len(),
-        });
-    }
-    let mut y = Tensor::zeros([m]);
-    let (ad, xd, yd) = (a.as_slice(), x.as_slice(), y.as_mut_slice());
-    for i in 0..m {
-        let row = &ad[i * k..(i + 1) * k];
-        yd[i] = row.iter().zip(xd).map(|(&a, &b)| a * b).sum();
-    }
-    Ok(y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,13 +278,5 @@ mod tests {
         let c = Tensor::zeros([3, 0]);
         let d = Tensor::zeros([0, 2]);
         assert_eq!(matmul(&c, &d).unwrap().dims(), &[3, 2]);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        let x = Tensor::from_slice(&[1., 0., -1.]);
-        let y = matvec(&a, &x).unwrap();
-        assert_eq!(y.as_slice(), &[-2., -2.]);
     }
 }

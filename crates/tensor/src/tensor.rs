@@ -115,11 +115,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Value at a multi-dimensional index.
     ///
     /// # Panics
@@ -142,14 +137,6 @@ impl Tensor {
             shape,
             data: self.data.clone(),
         })
-    }
-
-    /// Reshapes in place (no data copy).
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) -> Result<()> {
-        let shape = shape.into();
-        self.shape.check_reshape(&shape)?;
-        self.shape = shape;
-        Ok(())
     }
 
     /// Applies `f` elementwise, returning a new tensor.
@@ -220,11 +207,6 @@ impl Tensor {
         self.zip(other, |a, b| a - b)
     }
 
-    /// Elementwise subtraction in place.
-    pub fn sub_assign(&mut self, other: &Tensor) -> Result<()> {
-        self.zip_in_place(other, |a, b| a - b)
-    }
-
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
         self.zip(other, |a, b| a * b)
@@ -243,11 +225,6 @@ impl Tensor {
     /// Multiplies every element by `s` in place.
     pub fn scale_in_place(&mut self, s: f32) {
         self.map_in_place(|x| x * s);
-    }
-
-    /// Adds `s` to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x + s)
     }
 
     /// Fills the tensor with `value`.
@@ -316,19 +293,6 @@ impl Tensor {
             .zip(&other.data)
             .map(|(&a, &b)| (a as f64) * (b as f64))
             .sum::<f64>() as f32)
-    }
-
-    /// Index of the maximum element of a flat view (first on ties).
-    pub fn argmax_flat(&self) -> usize {
-        let mut best = 0usize;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Transposes a rank-2 tensor.
@@ -414,7 +378,6 @@ mod tests {
         assert_eq!(t.min(), -1.0);
         assert_eq!(t.count_nonzero(), 3);
         assert!((t.sparsity() - 0.25).abs() < 1e-12);
-        assert_eq!(t.argmax_flat(), 3);
     }
 
     #[test]

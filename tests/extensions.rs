@@ -1,20 +1,18 @@
 //! Integration tests for the beyond-the-paper extensions: checkpointing
-//! through the full training pipeline, structured pruning, PLIF models,
-//! confusion-matrix evaluation and the ITOP exploration metric.
+//! through the full training pipeline, the ITOP exploration metric and
+//! sparse-dispatch bit-identity.
 
 use ndsnn::checkpoint;
 use ndsnn::config::{DatasetKind, MethodSpec};
 use ndsnn::profile::Profile;
 use ndsnn::trainer::{build_datasets, build_engine, build_network};
 use ndsnn_data::loader::BatchLoader;
-use ndsnn_metrics::confusion::ConfusionMatrix;
 use ndsnn_snn::layers::Layer;
 use ndsnn_snn::models::Architecture;
 use ndsnn_snn::optim::Sgd;
 use ndsnn_sparse::dynamic::{DynamicConfig, DynamicEngine, GrowthMode, SparsityTrajectory};
 use ndsnn_sparse::engine::SparseEngine;
 use ndsnn_sparse::schedule::UpdateSchedule;
-use ndsnn_tensor::ops::reduce::argmax_rows;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ndsnn-ext-test-{}-{name}", std::process::id()))
@@ -90,37 +88,6 @@ fn mask_checkpoint_preserves_sparsity() {
         "sparsity changed across checkpoint"
     );
     std::fs::remove_file(path).ok();
-}
-
-/// Confusion-matrix evaluation of a trained smoke model: totals add up and
-/// the matrix agrees with the accuracy meter.
-#[test]
-fn confusion_matrix_agrees_with_accuracy() {
-    let cfg = Profile::Smoke.run_config(
-        Architecture::Lenet5,
-        DatasetKind::Cifar10,
-        MethodSpec::Dense,
-    );
-    let mut cfg = cfg;
-    cfg.image_size = 16;
-    let (_, test) = build_datasets(&cfg);
-    let mut net = build_network(&cfg).unwrap();
-    net.layers.set_training(false);
-    let loader = BatchLoader::eval(cfg.batch_size);
-    let mut confusion = ConfusionMatrix::new(cfg.num_classes);
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for batch in loader.epoch(&test, 0) {
-        let logits = net.forward(&batch.images).unwrap();
-        let preds = argmax_rows(&logits).unwrap();
-        for (p, y) in preds.iter().zip(&batch.labels) {
-            correct += usize::from(p == y);
-            total += 1;
-        }
-        confusion.update(&preds, &batch.labels);
-    }
-    assert_eq!(confusion.total() as usize, total);
-    assert!((confusion.accuracy() - correct as f64 / total as f64).abs() < 1e-12);
 }
 
 /// Every sparse dispatch is a pure execution-strategy change. Each arm

@@ -62,25 +62,6 @@ fn every_method_trains_end_to_end() {
 }
 
 #[test]
-fn structured_method_trains_end_to_end() {
-    let cfg = smoke(
-        Architecture::Vgg16,
-        DatasetKind::Cifar10,
-        MethodSpec::Structured {
-            filter_sparsity: 0.5,
-        },
-    );
-    let result = run(&cfg).unwrap();
-    // Filter-level masks remove whole rows; overall weight sparsity tracks
-    // the filter fraction.
-    assert!(
-        (result.final_sparsity - 0.5).abs() < 0.1,
-        "sparsity {}",
-        result.final_sparsity
-    );
-}
-
-#[test]
 fn plif_network_trains() {
     use ndsnn_snn::encoder::Encoding;
     use ndsnn_snn::models::{vgg16, ModelConfig, NeuronKind};
