@@ -11,8 +11,9 @@
 //!              [--deadline-ms <n>] [--seed <n>]
 //! ```
 //!
-//! An unknown flag or an unparsable number exits with status 2 before
-//! anything is loaded or served.
+//! An unknown flag, an unparsable number, or `--artifact` or `--quantize`
+//! next to `--model-dir` exits with status 2 before anything is loaded or
+//! served.
 //!
 //! `--model-dir` switches to **fleet mode**: every artifact file in the
 //! directory is registered into a [`ndsnn_infer::ModelRegistry`] under its
@@ -285,6 +286,8 @@ fn run_fleet(
 
 fn main() {
     let args = Args::parse(USAGE);
+    // Fleet mode serves the stored artifacts as they are.
+    args.refuse_with("--model-dir", &["--artifact", "--quantize"]);
     let requests: usize = args.number("--requests").unwrap_or(32);
     let clients: usize = args.number("--clients").unwrap_or(4).max(1);
     let seed: u64 = args.number("--seed").unwrap_or(7);

@@ -150,6 +150,20 @@ impl Args {
         }
     }
 
+    /// Exits, naming it, if any of `others` was given alongside `flag`: a
+    /// mode refuses the flags it would ignore instead of dropping them.
+    pub fn refuse_with(&self, flag: &str, others: &[&str]) {
+        if !self.has(flag) {
+            return;
+        }
+        if let Some(other) = others.iter().find(|o| self.has(o)) {
+            exit_usage(
+                &format!("{other} cannot be combined with {flag}"),
+                self.usage,
+            );
+        }
+    }
+
     /// The value of `flag` as a number; an unparsable one exits.
     pub fn number<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
         self.choice(flag, |v| v.parse().ok())

@@ -74,6 +74,11 @@ fn infer_single_rejects_unknown_flags_and_numbers() {
     ] {
         assert_rejected(bin, "--artifact no-such-artifact.ndinf", bad);
     }
+    // Fleet mode serves the directory's artifacts as stored, so the
+    // single-artifact flags are refused rather than ignored.
+    for bad in ["--artifact no-such-artifact.ndinf", "--quantize"] {
+        assert_rejected(bin, "--model-dir no-such-dir", bad);
+    }
 }
 
 #[test]

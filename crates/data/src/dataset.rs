@@ -60,19 +60,6 @@ impl InMemoryDataset {
         }
     }
 
-    /// Splits into `(first, second)` at `at` samples.
-    pub fn split(self, at: usize) -> (InMemoryDataset, InMemoryDataset) {
-        let at = at.min(self.images.len());
-        let mut images = self.images;
-        let mut labels = self.labels;
-        let tail_images = images.split_off(at);
-        let tail_labels = labels.split_off(at);
-        (
-            InMemoryDataset::new(images, labels, self.num_classes),
-            InMemoryDataset::new(tail_images, tail_labels, self.num_classes),
-        )
-    }
-
     /// Class label histogram.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
@@ -119,14 +106,6 @@ mod tests {
         let (img, label) = d.get(3);
         assert_eq!(img.as_slice()[0], 3.0);
         assert_eq!(label, 1);
-    }
-
-    #[test]
-    fn split_preserves_order() {
-        let (a, b) = ds().split(4);
-        assert_eq!(a.len(), 4);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.get(0).0.as_slice()[0], 4.0);
     }
 
     #[test]

@@ -278,7 +278,7 @@ fn encode_store(w: &mut BlobWriter, store: &WeightStore) {
             // stream, so the two can't disagree.
             let bytes: Vec<u8> = q.csr().val().iter().map(|&v| v as u8).collect();
             w.put_bytes(&bytes);
-            w.put_bytes(&indices);
+            w.put_bytes(indices);
         }
     }
 }

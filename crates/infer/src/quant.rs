@@ -50,6 +50,7 @@
 
 use ndsnn_tensor::ops::quant::MAX_QUANT_ROW_NNZ;
 use ndsnn_tensor::Csr;
+use std::sync::OnceLock;
 
 use crate::artifact::{store_encoded_bytes, Artifact, Op, WeightStore};
 use crate::error::{InferError, Result};
@@ -174,10 +175,21 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u32> {
 /// In memory the index set is always expanded CSR so the gather-add kernels
 /// run the same regardless of how the artifact serialized it; the on-disk
 /// form ([`QuantWeight::encoding`]) is a function of the index set alone.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct QuantWeight {
     csr: Csr<i8>,
     scales: Vec<f32>,
+    /// The serialized index set, chosen and built on first use: the
+    /// quantizer's size-table label, [`store_encoded_bytes`] and
+    /// [`Artifact::encode`] all read this one stream.
+    indices: OnceLock<(IndexEncoding, Vec<u8>)>,
+}
+
+/// Equal weights: the index stream is derived from the CSR.
+impl PartialEq for QuantWeight {
+    fn eq(&self, other: &Self) -> bool {
+        self.csr == other.csr && self.scales == other.scales
+    }
 }
 
 impl QuantWeight {
@@ -215,7 +227,11 @@ impl QuantWeight {
                 return Err(bad(format!("quant value -128 at row {r} breaks symmetry")));
             }
         }
-        Ok(QuantWeight { csr, scales })
+        Ok(QuantWeight {
+            csr,
+            scales,
+            indices: OnceLock::new(),
+        })
     }
 
     /// The int8 weight over the 2-D kernel view.
@@ -230,16 +246,9 @@ impl QuantWeight {
 
     /// The index encoding the writer uses: bitmap when its section is
     /// strictly smaller than the delta-varint stream, delta-varint
-    /// otherwise. Measured without building either.
+    /// otherwise.
     pub fn encoding(&self) -> IndexEncoding {
-        let m = &self.csr;
-        let mut delta_len = 0;
-        for_each_delta(m, |v| delta_len += varint_len(v));
-        if (m.rows() * m.cols()).div_ceil(8) < delta_len {
-            IndexEncoding::Bitmap
-        } else {
-            IndexEncoding::DeltaVarint
-        }
+        self.encode_indices().0
     }
 
     /// Reconstructed f32 value at `(r, c)` (`scale · q`, zero off-index) —
@@ -252,15 +261,21 @@ impl QuantWeight {
         }
     }
 
-    /// The serialized column-index set in [`QuantWeight::encoding`].
-    pub fn encode_indices(&self) -> (IndexEncoding, Vec<u8>) {
-        let encoding = self.encoding();
-        let bytes = if encoding == IndexEncoding::Bitmap {
-            encode_bitmap(&self.csr)
-        } else {
-            encode_delta_varint(&self.csr)
-        };
-        (encoding, bytes)
+    /// The serialized column-index set in [`QuantWeight::encoding`]. The
+    /// delta-varint stream is measured, and the chosen one built, once per
+    /// weight; later calls return the same bytes.
+    pub fn encode_indices(&self) -> (IndexEncoding, &[u8]) {
+        let (encoding, bytes) = self.indices.get_or_init(|| {
+            let m = &self.csr;
+            let mut delta_len = 0;
+            for_each_delta(m, |v| delta_len += varint_len(v));
+            if (m.rows() * m.cols()).div_ceil(8) < delta_len {
+                (IndexEncoding::Bitmap, encode_bitmap(m))
+            } else {
+                (IndexEncoding::DeltaVarint, encode_delta_varint(m))
+            }
+        });
+        (*encoding, bytes)
     }
 }
 
@@ -665,25 +680,6 @@ fn quantize_op(
     })
 }
 
-/// Expands a quantized weight back to an f32 [`Csr`] (`scale · q` per stored
-/// entry) — the reference the drift harness compares against, and a
-/// debugging aid; serving never calls this.
-pub fn dequantize_to_csr(qw: &QuantWeight) -> Result<Csr<f32>> {
-    let m = qw.csr();
-    let values = (0..m.rows())
-        .flat_map(|r| m.row_entries(r).1.iter().map(move |&q| (r, q)))
-        .map(|(r, q)| qw.scales()[r] * f32::from(q))
-        .collect();
-    Csr::from_parts(
-        m.rows(),
-        m.cols(),
-        m.row_ptr().to_vec(),
-        m.idx().to_vec(),
-        values,
-    )
-    .map_err(bad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -784,7 +780,7 @@ mod tests {
         let (wide, _) = quantize_store(&WeightStore::Csr(widest)).unwrap();
         assert_eq!(
             wide.encode_indices(),
-            (IndexEncoding::DeltaVarint, vec![1, 0xFF, 0xFF, 0xFF, 0x07])
+            (IndexEncoding::DeltaVarint, &[1, 0xFF, 0xFF, 0xFF, 0x07][..])
         );
         // The written section is the smallest of the three, absolute included.
         for qw in [&dense, &sparse, &wide] {
@@ -919,25 +915,6 @@ mod tests {
             let last = pad.len() - 1;
             pad[last] |= 1 << 7;
             assert!(decode_index_stream(IndexEncoding::Bitmap, rows, cols, nnz, &pad).is_err());
-        }
-    }
-
-    #[test]
-    fn dequantize_to_csr_matches_pointwise() {
-        let store = random_store(6, 21, 40, 99);
-        let (qw, _) = quantize_store(&store).unwrap();
-        let csr = dequantize_to_csr(&qw).unwrap();
-        let (rows, cols) = qw.csr().dims();
-        for r in 0..rows {
-            let (cis, vs) = csr.row_entries(r);
-            for (&c, &v) in cis.iter().zip(vs) {
-                assert_eq!(v.to_bits(), qw.dequantize_at(r, c as usize).to_bits());
-            }
-            for c in 0..cols {
-                if !cis.contains(&(c as u32)) {
-                    assert_eq!(qw.dequantize_at(r, c), 0.0);
-                }
-            }
         }
     }
 

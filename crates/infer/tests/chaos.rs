@@ -120,11 +120,12 @@ fn reference_bits(artifact: &Arc<Artifact>) -> Vec<Vec<u32>> {
 
 fn chaos_run_with(artifact: Arc<Artifact>, shed: ShedPolicy) {
     let reference = reference_bits(&artifact);
-    // Low horizon so every injected fault index is actually reached: with
-    // max_batch 4 and ≥150 successful requests the run executes far more
-    // than 8 batches.
+    // Low horizon, so the run below usually executes far more than 8
+    // batches; the top-up after it makes sure every injected fault index is
+    // reached even when shedding left few batches.
     let plan = ServeFaultPlan::seeded(0xC4A05, 8, 3, 2, Duration::from_millis(10));
     let injected_panics = plan.panic_at_batches.len() as u64;
+    let last_panic = *plan.panic_at_batches.iter().max().expect("a panic");
     assert!(injected_panics >= 1, "seed must place at least one panic");
     let server = Arc::new(Server::start_with(
         artifact,
@@ -192,6 +193,23 @@ fn chaos_run_with(artifact: Arc<Artifact>, shed: ShedPolicy) {
     let stats = server.stats();
     assert_eq!(stats.requests, successes);
     assert_eq!(stats.submitted, TOTAL as u64);
+    stats
+        .accounting_identity()
+        .expect("accounting identity violated");
+
+    // Each shed reply is instant and a stalled batch is not, so on a loaded
+    // host the clients can exhaust their requests while the one dispatcher
+    // has run only a few batches; and a batch's `ExecutorFault` replies go
+    // out before the supervisor counts its restart. Serve clean requests
+    // one at a time until one succeeds in a batch past every injected panic
+    // index: that reply is sent after every restart was counted.
+    loop {
+        let past_faults = server.stats().batches > last_panic;
+        if server.infer(&image_for(0)).is_ok() && past_faults {
+            break;
+        }
+    }
+    let stats = server.stats();
     stats
         .accounting_identity()
         .expect("accounting identity violated");

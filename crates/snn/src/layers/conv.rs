@@ -105,9 +105,15 @@ impl Conv2d {
     }
 
     /// Shared forward body: [`Layer::forward`] passes `spikes = None`. The
-    /// conv gathers rebuild fired indices from the im2col buffer, so the
-    /// spike list itself is only consulted for binarity certification,
-    /// density and stats.
+    /// spike kernels pack each sample's fired pixels into its im2col operand
+    /// themselves, so the spike list itself is only consulted for binarity
+    /// certification, density and stats.
+    ///
+    /// Dispatch: a certified-binary input below the spike density threshold
+    /// takes the spike kernel, which walks the installed weight plan's live
+    /// weights at the fired taps, or every non-zero weight without a plan.
+    /// Otherwise a layer with a weight plan takes the plan, and everything
+    /// else runs dense.
     fn forward_impl(
         &mut self,
         input: &Tensor,
@@ -126,15 +132,11 @@ impl Conv2d {
             self.exec.elems += (sb.rows() * sb.cols()) as u64;
             gather = sb.density() < self.spike_threshold;
         }
-        // An installed weight plan takes priority over a spike gather (at the
-        // engine's target weight sparsity sp_mm touches fewer terms than a
-        // spike gather at threshold density).
         let t0 = Instant::now();
         let pattern = self.weight.exec_pattern()?;
-        let routed_gather = gather && pattern.is_none();
         let kernel = match pattern {
+            _ if gather => ConvKernel::SpikeGather(pattern),
             Some(pat) => ConvKernel::WeightPlan(pat),
-            None if gather => ConvKernel::SpikeGather,
             None => ConvKernel::Dense,
         };
         let (w, g, pool) = (&self.weight.value, &self.geometry, &self.scratch);
@@ -142,7 +144,7 @@ impl Conv2d {
             Some(b) => conv2d_forward(input, w, g, kernel, &BiasRow(b.value.as_slice()), pool)?,
             None => conv2d_forward(input, w, g, kernel, &NoEpilogue, pool)?,
         };
-        if routed_gather {
+        if gather {
             self.exec.kernel_ns += t0.elapsed().as_nanos() as u64;
             self.exec.gather_steps += 1;
         } else if usable {

@@ -36,11 +36,11 @@ pub struct Param {
     pub kind: ParamKind,
     /// Sparse execution plan, installed by the sparse-training engines when
     /// this weight's density drops below the configured threshold: the
-    /// index-only pattern of the weight viewed as a 2-D matrix (rows =
-    /// output features / filters). Values are always gathered from the dense
-    /// [`Param::value`] at use time, so the plan stays valid across
-    /// optimizer steps and only needs rebuilding when the mask changes.
-    /// `None` means dense execution.
+    /// index-only pattern of the weight's mask, shaped
+    /// [`Param::plan_dims`] and built by [`Param::plan_from_mask`]. Values
+    /// are always gathered from the dense [`Param::value`] at use time, so
+    /// the plan stays valid across optimizer steps and only needs rebuilding
+    /// when the mask changes. `None` means dense execution.
     pub plan: Option<Csr>,
 }
 
@@ -57,15 +57,14 @@ impl Param {
         }
     }
 
-    /// The installed sparse pattern, validated against the 2-D view of the
-    /// weight (`dims[0] × rest`). Layers call this at every dispatch point so
-    /// a stale plan fails loudly instead of misindexing.
+    /// The installed sparse pattern, validated against
+    /// [`Param::plan_dims`]. Layers call this at every dispatch point so a
+    /// stale plan fails loudly instead of misindexing.
     pub fn exec_pattern(&self) -> Result<Option<&Csr>> {
         let Some(plan) = &self.plan else {
             return Ok(None);
         };
-        let rows = *self.value.dims().first().unwrap_or(&0);
-        let cols = self.value.len().checked_div(rows).unwrap_or(0);
+        let (rows, cols) = self.plan_dims();
         if plan.dims() != (rows, cols) {
             return Err(SnnError::InvalidState(format!(
                 "{}: exec plan {}x{} does not match weight viewed as {rows}x{cols}",
@@ -75,6 +74,45 @@ impl Param {
             )));
         }
         Ok(Some(plan))
+    }
+
+    /// The weight viewed as a 2-D matrix, `dims[0] × rest`: `Out × In` for
+    /// a linear weight, `F × (C·KH·KW)` for a conv weight.
+    fn matrix_dims(&self) -> (usize, usize) {
+        let rows = *self.value.dims().first().unwrap_or(&0);
+        (rows, self.value.len().checked_div(rows).unwrap_or(0))
+    }
+
+    /// Whether this is a conv weight `(F, C, KH, KW)`, whose plan is the
+    /// column view.
+    fn plans_by_column(&self) -> bool {
+        self.value.rank() == 4
+    }
+
+    /// Shape of this weight's plan, in the orientation its layer's kernels
+    /// walk. A linear weight is planned by row, `Out × In`. A conv weight is
+    /// planned by column, `(C·KH·KW) × F`: row `r` lists the filters live at
+    /// im2col row `r`, which is what the spike kernel needs per fired col
+    /// row; the conv plan kernels read the same view.
+    pub fn plan_dims(&self) -> (usize, usize) {
+        let (rows, cols) = self.matrix_dims();
+        if self.plans_by_column() {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        }
+    }
+
+    /// Packs the plan of `mask`, a binary tensor shaped like this weight,
+    /// in the orientation of [`Param::plan_dims`].
+    pub fn plan_from_mask(&self, mask: &[f32]) -> Csr {
+        debug_assert_eq!(mask.len(), self.value.len());
+        let (rows, cols) = self.matrix_dims();
+        if self.plans_by_column() {
+            Csr::from_mask_transposed(rows, cols, mask)
+        } else {
+            Csr::from_mask(rows, cols, mask)
+        }
     }
 
     /// Clears the accumulated gradient.
@@ -124,12 +162,17 @@ mod tests {
         assert!(p.exec_pattern().unwrap().is_none());
         p.plan = Some(Csr::from_mask(2, 3, &[1., 0., 1., 0., 1., 0.]));
         assert_eq!(p.exec_pattern().unwrap().unwrap().nnz(), 3);
-        // Conv-style weight: rows = filters, cols = flattened rest.
+        // Conv weight: the column view, rows = col rows, cols = filters.
         let mut c = Param::new("cw", Tensor::ones([2, 1, 2, 2]), ParamKind::Weight);
-        c.plan = Some(Csr::from_mask(2, 4, &[1.0; 8]));
+        assert_eq!(c.plan_dims(), (4, 2));
+        let mask = [1., 0., 0., 1., 0., 1., 1., 1.];
+        c.plan = Some(c.plan_from_mask(&mask));
         assert!(c.exec_pattern().is_ok());
-        // Mismatched plan fails loudly.
+        assert_eq!(c.exec_pattern().unwrap().unwrap().row(3), &[0, 1]);
+        // Mismatched plans fail loudly, the row view of a conv weight too.
         c.plan = Some(Csr::from_mask(2, 3, &[1.0; 6]));
+        assert!(c.exec_pattern().is_err());
+        c.plan = Some(Csr::from_mask(2, 4, &mask));
         assert!(c.exec_pattern().is_err());
     }
 

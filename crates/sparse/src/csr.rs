@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn csr_mm_bitwise_matches_dense_and_pattern() {
         use ndsnn_tensor::ops::matmul::matmul_into;
-        use ndsnn_tensor::ops::spmm::sp_mm;
+        use ndsnn_tensor::ops::spmm::{plan_values, sp_mm};
         let (rows, cols, n) = (5, 6, 9);
         let mut seed = 0x5EED_0002u64;
         let w = lcg_matrix(rows, cols, &mut seed, true);
@@ -218,8 +218,10 @@ mod tests {
         let mut o_pat = o_dense.clone();
         let mut o_csr = o_dense.clone();
         matmul_into(&w, &b, &mut o_dense, rows, cols, n);
-        let pat = Csr::from_mask(rows, cols, &w);
-        sp_mm(&pat, &w, &b, &mut o_pat, n);
+        let pat = Csr::from_mask_transposed(rows, cols, &w);
+        let mut vals = Vec::new();
+        plan_values(&pat, &w, &mut vals);
+        sp_mm(&pat, &vals, &b, &mut o_pat, n);
         csr_mm(&csr, &b, &mut o_csr, n);
         for i in 0..o_dense.len() {
             assert_eq!(

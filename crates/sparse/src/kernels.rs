@@ -9,7 +9,7 @@
 
 use ndsnn_snn::layers::Layer;
 use ndsnn_tensor::ops::topk::{par_bottom_k_indices_where, par_top_k_indices_where};
-use ndsnn_tensor::{Csr, Tensor};
+use ndsnn_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -33,12 +33,14 @@ pub fn density_threshold_from_env() -> f64 {
 
 /// Installs (or clears) sparse execution plans on the model's sparsifiable
 /// weights: a layer whose mask density is strictly below `threshold` gets an
-/// index-only [`Csr`] of its mask ([`Csr::from_mask`]); everything else runs
-/// dense.
+/// index-only [`Csr`](ndsnn_tensor::Csr) of its mask in the orientation its
+/// kernels walk ([`Param::plan_from_mask`](ndsnn_snn::Param::plan_from_mask):
+/// a conv weight's plan is its column view); everything else runs dense.
 ///
-/// Called once after mask initialization and again after every drop-and-grow
-/// round — the pattern is index-only, so it stays valid across optimizer
-/// steps in between. Returns the number of plans installed.
+/// Called once after mask initialization, again after every drop-and-grow
+/// round, and at restore — the pattern is index-only, so it stays valid
+/// across optimizer steps in between and is never rebuilt per step.
+/// Returns the number of plans installed.
 pub fn install_exec_plans(model: &mut dyn Layer, masks: &MaskSet, threshold: f64) -> usize {
     let mut installed = 0usize;
     model.for_each_param(&mut |param| {
@@ -54,8 +56,7 @@ pub fn install_exec_plans(model: &mut dyn Layer, masks: &MaskSet, threshold: f64
             if density >= threshold {
                 return None;
             }
-            let rows = param.value.dims()[0];
-            Some(Csr::from_mask(rows, n / rows.max(1), mask.as_slice()))
+            Some(param.plan_from_mask(mask.as_slice()))
         });
         installed += plan.is_some() as usize;
         param.plan = plan;

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | fired spikes of one timestep | `Csr` | [`Csr::from_flat_indices`], [`Csr::from_binary`] |
 //! | gradient-active neurons | `Csr` | [`Csr::from_flat_indices`] |
-//! | weight execution plan (mask pattern) | `Csr` | [`Csr::from_mask`] |
+//! | weight execution plan (mask pattern) | `Csr` | [`Csr::from_mask`], [`Csr::from_mask_transposed`] |
 //! | packed transposed weight | `Csr<f32>` | [`Csr::from_dense_transposed`] |
 //! | frozen inference weight | `Csr<f32>` | [`Csr::from_dense`], [`Csr::from_weight`] |
 //! | int8 frozen weight | `Csr<i8>` | [`Csr::from_parts`] |
@@ -138,6 +138,35 @@ impl<V> Csr<V> {
         Self::trusted(rows, cols, row_ptr, idx, val)
     }
 
+    /// Packs the non-zero entries of the *transpose* of a row-major
+    /// `rows × cols` slice, storing `value(v)` for each: the result is
+    /// `cols × rows`, row `c` listing the non-zero rows of column `c`,
+    /// ascending.
+    fn pack_transposed(
+        rows: usize,
+        cols: usize,
+        data: &[f32],
+        mut value: impl FnMut(f32) -> V,
+    ) -> Self {
+        debug_assert_eq!(data.len(), rows * cols);
+        let nnz = data.iter().filter(|v| **v != 0.0).count();
+        let mut val = Vec::with_capacity(nnz);
+        let mut idx = Vec::with_capacity(nnz);
+        let mut row_ptr = Vec::with_capacity(cols + 1);
+        row_ptr.push(0u32);
+        for c in 0..cols {
+            for r in 0..rows {
+                let v = data[r * cols + c];
+                if v != 0.0 {
+                    val.push(value(v));
+                    idx.push(r as u32);
+                }
+            }
+            row_ptr.push(idx.len() as u32);
+        }
+        Self::trusted(cols, rows, row_ptr, idx, val)
+    }
+
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows
@@ -257,6 +286,15 @@ impl Csr {
     pub fn from_mask(rows: usize, cols: usize, mask: &[f32]) -> Csr {
         Csr::pack(rows, cols, mask, |_| ())
     }
+
+    /// Packs the non-zero positions of the *transpose* of a row-major
+    /// `rows × cols` mask: the result is `cols × rows`, row `c` listing the
+    /// live rows of column `c`, ascending. This is the column view of a
+    /// conv weight plan — per im2col row, the filters that are live there —
+    /// built once per mask change, like [`Csr::from_mask`].
+    pub fn from_mask_transposed(rows: usize, cols: usize, mask: &[f32]) -> Csr {
+        Csr::pack_transposed(rows, cols, mask, |_| ())
+    }
 }
 
 impl Csr<f32> {
@@ -291,23 +329,7 @@ impl Csr<f32> {
     /// ascending reproduces the dense kernels' ascending-`r` order with its
     /// `w == 0.0` skip, so the packing has no numeric effect.
     pub fn from_dense_transposed(rows: usize, cols: usize, w: &[f32]) -> Csr<f32> {
-        debug_assert_eq!(w.len(), rows * cols);
-        let nnz = w.iter().filter(|v| **v != 0.0).count();
-        let mut val = Vec::with_capacity(nnz);
-        let mut idx = Vec::with_capacity(nnz);
-        let mut row_ptr = Vec::with_capacity(cols + 1);
-        row_ptr.push(0u32);
-        for c in 0..cols {
-            for r in 0..rows {
-                let v = w[r * cols + c];
-                if v != 0.0 {
-                    val.push(v);
-                    idx.push(r as u32);
-                }
-            }
-            row_ptr.push(val.len() as u32);
-        }
-        Csr::trusted(cols, rows, row_ptr, idx, val)
+        Csr::pack_transposed(rows, cols, w, |v| v)
     }
 }
 
@@ -553,6 +575,7 @@ mod tests {
             let pattern = Csr::from_mask(cols, rows, &t);
             prop_assert_eq!(packed.row_ptr(), pattern.row_ptr());
             prop_assert_eq!(packed.idx(), pattern.idx());
+            prop_assert_eq!(&Csr::from_mask_transposed(rows, cols, &data), &pattern);
         }
     }
 }

@@ -8,16 +8,18 @@
 //! input sample through an [`Im2colLayout`], so no dense col buffer is ever
 //! materialized — forward is `W · im2col(x)`, the weight gradient is
 //! `gy · im2col(x)ᵀ`, and the col gradient is `Wᵀ · gy` read through a
-//! transposed weight *layout* instead of a transposed copy. The sparse
-//! ([`sp_mm`]) and spike-gather ([`gather_conv_fwd`]) dispatch paths still
-//! lower explicitly (their kernels walk compressed structures, not tiles)
-//! and stay bit-identical to the dense core.
+//! transposed weight *layout* instead of a transposed copy. The weight-plan
+//! ([`sp_mm`]) and spike ([`spike_conv_fwd`], [`spike_conv_dw`]) dispatch
+//! paths still lower explicitly (their kernels walk compressed structures,
+//! not tiles) and stay bit-identical to the dense core; a binary input is
+//! lowered only to its packed operand ([`im2col_packed`]), never to a dense
+//! col.
 
 use crate::error::{Result, TensorError};
 use crate::ops::grad::{gather_conv_dx, transpose_into};
 use crate::ops::layout::Im2colLayout;
-use crate::ops::spike::{gather_conv_dw, gather_conv_fwd};
-use crate::ops::spmm::{sp_mm, sp_mm_t};
+use crate::ops::spike::{spike_conv_dw, spike_conv_fwd, PackedSpikes};
+use crate::ops::spmm::{plan_values, sp_mm, sp_mm_t};
 use crate::ops::tile::{conv_fwd_tiled, gemm_tiled, NoEpilogue, PanelA, PanelB, TileEpilogue};
 use crate::parallel::SharedSlice;
 use crate::scratch::ScratchPool;
@@ -30,6 +32,8 @@ use crate::Csr;
 /// result is bit-identical for any `NDSNN_THREADS` setting. The bound also
 /// caps transient memory: at most this many partial `dW` buffers are alive.
 /// [`crate::reference::conv2d_backward`] reduces through the same blocks.
+/// The sparse forward paths split a batch the same way so each block takes
+/// its workspace once; there the partition has no numeric effect.
 pub(crate) const BWD_MAX_BLOCKS: usize = 8;
 
 /// Static geometry of a 2-D convolution.
@@ -294,11 +298,12 @@ pub fn col2im(
     }
 }
 
+/// A weight plan must be the `(C·KH·KW) × F` column view of the weight.
 fn check_pattern(pat: &Csr, g: &Conv2dGeometry, cr: usize) -> Result<()> {
-    if pat.rows() != g.out_channels || pat.cols() != cr {
+    if pat.rows() != cr || pat.cols() != g.out_channels {
         return Err(TensorError::ShapeMismatch {
             lhs: vec![pat.rows(), pat.cols()],
-            rhs: vec![g.out_channels, cr],
+            rhs: vec![cr, g.out_channels],
         });
     }
     Ok(())
@@ -337,13 +342,16 @@ fn check_weight(weight: &Tensor, g: &Conv2dGeometry) -> Result<()> {
 pub enum ConvKernel<'a> {
     /// Implicit-GEMM tiles with the epilogue fused per tile.
     Dense,
-    /// Row-sparse [`sp_mm`] over an index-only pattern of the weight viewed
-    /// as `F × (C·KH·KW)`. The dense weight stays the source of truth for
-    /// values and must be zero off the pattern.
+    /// [`sp_mm`] over a weight plan: the index-only column view
+    /// ([`Csr::from_mask_transposed`]) of the weight viewed as
+    /// `F × (C·KH·KW)`, so `(C·KH·KW) × F`. The dense weight stays the
+    /// source of truth for values and must be zero off the plan.
     WeightPlan(&'a Csr),
-    /// Multiply-free [`gather_conv_fwd`] over fired im2col rows. The input
-    /// must be binary spikes.
-    SpikeGather,
+    /// Multiply-free [`spike_conv_fwd`] over each sample's packed operand
+    /// ([`im2col_packed`]), visiting only the live weights of the plan when
+    /// one is given (the same column view as [`ConvKernel::WeightPlan`]).
+    /// The input must be binary spikes.
+    SpikeGather(Option<&'a Csr>),
 }
 
 /// Forward convolution `(B, C, H, W) -> (B, F, OH, OW)`:
@@ -374,7 +382,7 @@ pub fn conv2d_forward(
     let mut out = Tensor::zeros([b, g.out_channels, oh, ow]);
     let in_stride = g.in_channels * h * w;
     let out_stride = g.out_channels * spatial;
-    let pattern = match kernel {
+    let (pattern, spikes) = match kernel {
         ConvKernel::Dense => {
             let layout = Im2colLayout::new(g, h, w, oh, ow);
             conv_fwd_tiled(
@@ -390,45 +398,55 @@ pub fn conv2d_forward(
             );
             return Ok(out);
         }
-        ConvKernel::WeightPlan(pat) => {
-            check_pattern(pat, g, cr)?;
-            Some(pat)
-        }
-        ConvKernel::SpikeGather => None,
+        ConvKernel::WeightPlan(pat) => (Some(pat), false),
+        ConvKernel::SpikeGather(plan) => (plan, true),
     };
-    // Samples write disjoint output slices, so they parallelize across
-    // cores (inline on single-core hosts; see `crate::parallel`).
-    let in_data = input.as_slice();
     let w_data = weight.as_slice();
+    // The plan's live values, gathered once for every sample.
+    let mut live = pool.take(0);
+    if let Some(pat) = pattern {
+        check_pattern(pat, g, cr)?;
+        plan_values(pat, w_data, &mut live);
+    }
+    let plan = pattern.map(|pat| (pat, &live[..]));
+    // Samples write disjoint output slices, so sample blocks parallelize
+    // across cores (inline on single-core hosts; see `crate::parallel`).
+    let in_data = input.as_slice();
+    let block = b.div_ceil(BWD_MAX_BLOCKS).max(1);
     let chunks: Vec<(usize, &mut [f32])> = out
         .as_mut_slice()
-        .chunks_mut(out_stride.max(1))
+        .chunks_mut((block * out_stride).max(1))
         .enumerate()
         .collect();
-    crate::parallel::parallel_for_chunks(chunks, |s, out_chunk| {
+    crate::parallel::parallel_for_chunks(chunks, |bi, out_block| {
+        let mut packed = spikes.then(|| PackedSpikes::take(pool));
         // im2col writes every element (padding included), so stale pooled
         // contents are fine.
-        let mut col = pool.take(cr * spatial);
-        im2col(
-            &in_data[s * in_stride..(s + 1) * in_stride],
-            g,
-            h,
-            w,
-            oh,
-            ow,
-            &mut col,
-        );
-        match pattern {
-            Some(pat) => sp_mm(pat, w_data, &col, out_chunk, spatial),
-            None => gather_conv_fwd(w_data, &col, out_chunk, g.out_channels, cr, spatial, pool),
-        }
-        pool.give(col);
-        if !epi.is_noop() {
-            for (f, row) in out_chunk.chunks_mut(spatial).enumerate() {
-                epi.apply(f, 0, row);
+        let mut col = (!spikes).then(|| pool.take(cr * spatial));
+        for (i, out_chunk) in out_block.chunks_mut(out_stride.max(1)).enumerate() {
+            let s = bi * block + i;
+            let sample = &in_data[s * in_stride..(s + 1) * in_stride];
+            if let Some(x) = packed.as_mut() {
+                x.pack(sample, g, h, w, oh, ow, pool);
+                spike_conv_fwd(w_data, plan, x, out_chunk, g.out_channels, spatial);
+            } else if let (Some(col), Some((pat, vals))) = (col.as_mut(), plan) {
+                im2col(sample, g, h, w, oh, ow, col);
+                sp_mm(pat, vals, col, out_chunk, spatial);
+            }
+            if !epi.is_noop() {
+                for (f, row) in out_chunk.chunks_mut(spatial).enumerate() {
+                    epi.apply(f, 0, row);
+                }
             }
         }
+        if let Some(x) = packed {
+            x.give(pool);
+        }
+        if let Some(col) = col {
+            pool.give(col);
+        }
     });
+    pool.give(live);
     Ok(out)
 }
 
@@ -472,11 +490,13 @@ impl TileEpilogue for FoldAndRezero<'_> {
 /// [`ConvBackward::default()`] is the dense backward.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConvBackward<'a> {
-    /// Index-only pattern of the weight viewed as `F × (C·KH·KW)`: the
-    /// col-gradient product `Wᵀ·gy` runs row-sparse ([`sp_mm_t`]).
+    /// The weight plan's column view, as in [`ConvKernel::WeightPlan`]: the
+    /// col-gradient product `Wᵀ·gy` runs over live weights only
+    /// ([`sp_mm_t`]).
     pub weight_plan: Option<&'a Csr>,
-    /// The input is binary spikes: `dW = gy · colᵀ` gathers only fired
-    /// im2col positions ([`gather_conv_dw`]).
+    /// The input is binary spikes: `dW = gy · colᵀ` walks each sample's
+    /// packed operand ([`im2col_packed`], [`spike_conv_dw`]), rebuilt from
+    /// the input, so only col rows with a fired position are visited.
     pub spike_gather_dw: bool,
     /// The receiver population's per-timestep active set (a `b × C·H·W`
     /// index-only [`Csr`] over the conv *input*) and the caller's
@@ -567,6 +587,11 @@ pub fn conv2d_backward(
             bias_grad,
         });
     }
+    // The plan's live values, gathered once for every sample's `dCol`.
+    let mut live = pool.take(0);
+    if let (Some(pat), None) = (pattern, active) {
+        plan_values(pat, w_data, &mut live);
+    }
     let block = b.div_ceil(BWD_MAX_BLOCKS).max(1);
     let nblocks = b.div_ceil(block);
     // One (dW, dBias) partial per block, filled by the workers and reduced
@@ -582,9 +607,9 @@ pub fn conv2d_backward(
     crate::parallel::parallel_for_chunks(chunks, |bi, (ig_chunk, slot)| {
         let s0 = bi * block;
         let samples = ig_chunk.len() / in_stride.max(1);
-        // Only the spike-gather dW kernel walks an explicit col buffer; the
-        // dense path packs its panels straight from the input sample.
-        let mut col = spike_gather.then(|| pool.take(cr * spatial));
+        // The spike dW kernel walks each sample's packed operand; the dense
+        // path packs its panels straight from the input sample.
+        let mut packed = spike_gather.then(|| PackedSpikes::take(pool));
         // The active-set path never materializes the col gradient; it tapers
         // straight into the needed input pixels instead.
         let mut col_grad = (active.is_none()).then(|| pool.take(cr * spatial));
@@ -604,10 +629,9 @@ pub fn conv2d_backward(
             let sample = &in_data[(s0 + s) * in_stride..(s0 + s + 1) * in_stride];
             let gy = &gy_data[(s0 + s) * out_stride..(s0 + s + 1) * out_stride];
             // dW += gy (F × spatial) · im2col(x)ᵀ (spatial × cr)
-            if spike_gather {
-                let col = col.as_mut().expect("spike_gather takes a col buffer");
-                im2col(sample, g, h, w, oh, ow, col);
-                gather_conv_dw(gy, col, &mut wg, g.out_channels, cr, spatial, pool);
+            if let Some(x) = packed.as_mut() {
+                x.pack(sample, g, h, w, oh, ow, pool);
+                spike_conv_dw(gy, x, &mut wg, g.out_channels, spatial);
             } else {
                 let wg_sample = wg_sample.as_mut().expect("dense dW takes staging");
                 gemm_tiled(
@@ -653,7 +677,7 @@ pub fn conv2d_backward(
                     let col_grad = col_grad.as_mut().expect("dense path takes a col buffer");
                     col_grad.fill(0.0);
                     match pattern {
-                        Some(pat) => sp_mm_t(pat, w_data, gy, col_grad, spatial),
+                        Some(pat) => sp_mm_t(pat, &live, gy, col_grad, spatial),
                         None => gemm_tiled(
                             PanelA::Cols(w_data),
                             PanelB::Rows(gy),
@@ -677,8 +701,8 @@ pub fn conv2d_backward(
                 }
             }
         }
-        if let Some(col) = col {
-            pool.give(col);
+        if let Some(packed) = packed {
+            packed.give(pool);
         }
         if let Some(col_grad) = col_grad {
             pool.give(col_grad);
@@ -704,6 +728,7 @@ pub fn conv2d_backward(
         }
         pool.give(wg);
     }
+    pool.give(live);
     Ok(Conv2dGrads {
         input_grad,
         weight_grad,
@@ -970,7 +995,7 @@ mod tests {
         for (wv, m) in weight.as_mut_slice().iter_mut().zip(&mask) {
             *wv *= m;
         }
-        let pat = Csr::from_mask(g.out_channels, g.col_rows(), &mask);
+        let pat = Csr::from_mask_transposed(g.out_channels, g.col_rows(), &mask);
         let pool = ScratchPool::new();
         let (oh, ow) = g.output_hw(8, 8).unwrap();
         let grad_out = crate::init::uniform([3, 6, oh, ow], -1.0, 1.0, &mut rng);
@@ -997,7 +1022,15 @@ mod tests {
         assert_eq!(bits(&sg.weight_grad), bits(&dg.weight_grad));
         assert_eq!(bits(&sg.bias_grad), bits(&dg.bias_grad));
 
-        // A pattern whose shape disagrees with the geometry is rejected.
+        // A pattern whose shape disagrees with the geometry is rejected, and
+        // so is the row view: plans are the column view.
+        let row_view = Csr::from_mask(g.out_channels, g.col_rows(), &mask);
+        for kernel in [
+            ConvKernel::WeightPlan(&row_view),
+            ConvKernel::SpikeGather(Some(&row_view)),
+        ] {
+            assert!(conv2d_forward(&input, &weight, &g, kernel, &NoEpilogue, &pool).is_err());
+        }
         let bad = Csr::from_mask(1, 2, &[1.0, 0.0]);
         let bad_plan = ConvBackward {
             weight_plan: Some(&bad),
@@ -1015,9 +1048,9 @@ mod tests {
         assert!(conv2d_backward(&input, &weight, &grad_out, &g, &bad_plan, &pool).is_err());
     }
 
-    /// The spike-gather dispatch must equal dense execution bit-for-bit on a
-    /// binary input — forward output (bias epilogue included) and all three
-    /// gradients.
+    /// The spike dispatch must equal dense execution bit-for-bit on a binary
+    /// input — forward output (bias epilogue included) and all three
+    /// gradients, without a weight plan and with one on a masked weight.
     #[test]
     fn exec_with_spike_gather_bit_identical_on_binary_input() {
         use rand::Rng;
@@ -1030,26 +1063,35 @@ mod tests {
             }
         }
         let weight = crate::init::uniform(g.weight_dims(), -0.5, 0.5, &mut rng);
+        let mask: Vec<f32> = (0..weight.len()).map(|i| f32::from(i % 4 == 1)).collect();
+        let plan = Csr::from_mask_transposed(g.out_channels, g.col_rows(), &mask);
+        let mut masked = weight.clone();
+        for (wv, m) in masked.as_mut_slice().iter_mut().zip(&mask) {
+            *wv *= m;
+        }
         let bias = crate::init::uniform([6], -0.1, 0.1, &mut rng);
         let epi = BiasRow(bias.as_slice());
         let (oh, ow) = g.output_hw(8, 8).unwrap();
         let grad_out = crate::init::uniform([4, 6, oh, ow], -1.0, 1.0, &mut rng);
         let pool = ScratchPool::new();
 
-        let dense = conv2d_forward(&input, &weight, &g, ConvKernel::Dense, &epi, &pool).unwrap();
-        let spike =
-            conv2d_forward(&input, &weight, &g, ConvKernel::SpikeGather, &epi, &pool).unwrap();
-        assert_eq!(spike.as_slice(), dense.as_slice());
+        for (w, plan) in [(&weight, None), (&masked, Some(&plan))] {
+            let dense = conv2d_forward(&input, w, &g, ConvKernel::Dense, &epi, &pool).unwrap();
+            let spike = ConvKernel::SpikeGather(plan);
+            let spike = conv2d_forward(&input, w, &g, spike, &epi, &pool).unwrap();
+            assert_eq!(bits(&spike), bits(&dense));
 
-        let gather = ConvBackward {
-            spike_gather_dw: true,
-            ..ConvBackward::default()
-        };
-        let dg = bwd(&input, &weight, &grad_out, &g).unwrap();
-        let sg = conv2d_backward(&input, &weight, &grad_out, &g, &gather, &pool).unwrap();
-        assert_eq!(sg.weight_grad.as_slice(), dg.weight_grad.as_slice());
-        assert_eq!(sg.input_grad.as_slice(), dg.input_grad.as_slice());
-        assert_eq!(sg.bias_grad.as_slice(), dg.bias_grad.as_slice());
+            let gather = ConvBackward {
+                weight_plan: plan,
+                spike_gather_dw: true,
+                ..ConvBackward::default()
+            };
+            let dg = bwd(&input, w, &grad_out, &g).unwrap();
+            let sg = conv2d_backward(&input, w, &grad_out, &g, &gather, &pool).unwrap();
+            assert_eq!(bits(&sg.weight_grad), bits(&dg.weight_grad));
+            assert_eq!(bits(&sg.input_grad), bits(&dg.input_grad));
+            assert_eq!(bits(&sg.bias_grad), bits(&dg.bias_grad));
+        }
     }
 
     #[test]

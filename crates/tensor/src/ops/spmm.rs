@@ -9,31 +9,68 @@
 //! amortized across all the iterations between mask updates, and the kernels
 //! never read a stale weight.
 //!
+//! The conv kernels [`sp_mm`] and [`sp_mm_t`] read the plan's *column view*
+//! ([`Csr::from_mask_transposed`]: row `c` lists the live rows of weight
+//! column `c`), the view the spike kernel of [`crate::ops::spike`] walks per
+//! fired col row, so a conv layer keeps one plan. Walking a column view
+//! down the row-major weight would stride, so a caller gathers the live
+//! values once per call ([`plan_values`]) and every sample reads them
+//! contiguously. The per-element chains do not depend on the orientation:
+//! each output element still sums its live terms in ascending order. The
+//! linear kernels read the row view ([`Csr::from_mask`]).
+//!
 //! Kernels accumulate (`out +=`), matching the dense kernels in
 //! [`crate::ops::matmul`]; callers pass zeroed outputs for plain products.
 
 use crate::ops::matmul::for_output_row_ranges;
 use crate::Csr;
 
+/// Gathers the live values of a dense row-major weight `w` in the entry
+/// order of `pat`, its column view (`cols × rows` for a `rows × cols`
+/// weight): `vals[k]` is the weight at entry `k` of `pat`. `vals` is
+/// cleared first, so a pooled buffer can be reused. The plan stays
+/// index-only; values are read from the live weight at each call.
+pub fn plan_values(pat: &Csr, w: &[f32], vals: &mut Vec<f32>) {
+    let cols = pat.rows();
+    debug_assert_eq!(w.len(), pat.rows() * pat.cols());
+    vals.clear();
+    for c in 0..cols {
+        vals.extend(pat.row(c).iter().map(|&r| w[r as usize * cols + c]));
+    }
+}
+
+/// Row `c` of the column view `pat`: each live row index of weight column
+/// `c` with its value from [`plan_values`], ascending.
+pub(crate) fn live_row<'a>(
+    pat: &'a Csr,
+    vals: &'a [f32],
+    c: usize,
+) -> impl Iterator<Item = (usize, f32)> + 'a {
+    let span = pat.row_ptr()[c] as usize..pat.row_ptr()[c + 1] as usize;
+    let rows = pat.idx()[span.clone()].iter().map(|&r| r as usize);
+    rows.zip(vals[span].iter().copied())
+}
+
 /// `out(rows × n) += W · b(cols × n)` where `W` is the dense `rows × cols`
-/// weight read through `pat`.
+/// weight read through `pat`, the `cols × rows` column view of its
+/// pattern, with live values `vals` ([`plan_values`]). Each output element
+/// sums its live terms in ascending column order.
 ///
 /// Serial by design: the convolution layers call it per sample from inside
 /// already-parallel workers.
-pub fn sp_mm(pat: &Csr, w: &[f32], b: &[f32], out: &mut [f32], n: usize) {
-    debug_assert_eq!(w.len(), pat.rows() * pat.cols());
-    debug_assert_eq!(b.len(), pat.cols() * n);
-    debug_assert_eq!(out.len(), pat.rows() * n);
-    for r in 0..pat.rows() {
-        let wrow = &w[r * pat.cols()..(r + 1) * pat.cols()];
-        let orow = &mut out[r * n..(r + 1) * n];
-        for &ci in pat.row(r) {
-            let wv = wrow[ci as usize];
+pub fn sp_mm(pat: &Csr, vals: &[f32], b: &[f32], out: &mut [f32], n: usize) {
+    let (cols, rows) = pat.dims();
+    debug_assert_eq!(vals.len(), pat.nnz());
+    debug_assert_eq!(b.len(), cols * n);
+    debug_assert_eq!(out.len(), rows * n);
+    for c in 0..cols {
+        let brow = &b[c * n..(c + 1) * n];
+        for (r, wv) in live_row(pat, vals, c) {
             if wv == 0.0 {
                 // Freshly grown connections sit at zero until updated.
                 continue;
             }
-            let brow = &b[ci as usize * n..(ci as usize + 1) * n];
+            let orow = &mut out[r * n..(r + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += wv * bv;
             }
@@ -42,20 +79,21 @@ pub fn sp_mm(pat: &Csr, w: &[f32], b: &[f32], out: &mut [f32], n: usize) {
 }
 
 /// `out(cols × n) += Wᵀ · b(rows × n)` — the input-gradient product of a
-/// pattern-sparse weight. Serial, for the same reason as [`sp_mm`].
-pub fn sp_mm_t(pat: &Csr, w: &[f32], b: &[f32], out: &mut [f32], n: usize) {
-    debug_assert_eq!(w.len(), pat.rows() * pat.cols());
-    debug_assert_eq!(b.len(), pat.rows() * n);
-    debug_assert_eq!(out.len(), pat.cols() * n);
-    for r in 0..pat.rows() {
-        let wrow = &w[r * pat.cols()..(r + 1) * pat.cols()];
-        let brow = &b[r * n..(r + 1) * n];
-        for &ci in pat.row(r) {
-            let wv = wrow[ci as usize];
+/// pattern-sparse weight, through the same column view and live values as
+/// [`sp_mm`]. Each output element sums its live terms in ascending row
+/// order. Serial, for the same reason as [`sp_mm`].
+pub fn sp_mm_t(pat: &Csr, vals: &[f32], b: &[f32], out: &mut [f32], n: usize) {
+    let (cols, rows) = pat.dims();
+    debug_assert_eq!(vals.len(), pat.nnz());
+    debug_assert_eq!(b.len(), rows * n);
+    debug_assert_eq!(out.len(), cols * n);
+    for c in 0..cols {
+        let orow = &mut out[c * n..(c + 1) * n];
+        for (r, wv) in live_row(pat, vals, c) {
             if wv == 0.0 {
                 continue;
             }
-            let orow = &mut out[ci as usize * n..(ci as usize + 1) * n];
+            let brow = &b[r * n..(r + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += wv * bv;
             }
@@ -168,10 +206,12 @@ mod tests {
     fn sp_mm_matches_dense_matmul() {
         let mut rng = StdRng::seed_from_u64(20);
         let (w, mask) = masked_weight(12, 30, 0.15, &mut rng);
-        let pat = Csr::from_mask(12, 30, mask.as_slice());
+        let pat = Csr::from_mask_transposed(12, 30, mask.as_slice());
+        let mut vals = Vec::new();
+        plan_values(&pat, w.as_slice(), &mut vals);
         let b = crate::init::uniform([30, 17], -1.0, 1.0, &mut rng);
         let mut out = vec![0.0f32; 12 * 17];
-        sp_mm(&pat, w.as_slice(), b.as_slice(), &mut out, 17);
+        sp_mm(&pat, &vals, b.as_slice(), &mut out, 17);
         let want = matmul(&w, &b).unwrap();
         assert_close(&out, want.as_slice());
     }
@@ -180,10 +220,12 @@ mod tests {
     fn sp_mm_t_matches_dense_transpose_product() {
         let mut rng = StdRng::seed_from_u64(21);
         let (w, mask) = masked_weight(9, 25, 0.2, &mut rng);
-        let pat = Csr::from_mask(9, 25, mask.as_slice());
+        let pat = Csr::from_mask_transposed(9, 25, mask.as_slice());
+        let mut vals = Vec::new();
+        plan_values(&pat, w.as_slice(), &mut vals);
         let b = crate::init::uniform([9, 13], -1.0, 1.0, &mut rng);
         let mut out = vec![0.0f32; 25 * 13];
-        sp_mm_t(&pat, w.as_slice(), b.as_slice(), &mut out, 13);
+        sp_mm_t(&pat, &vals, b.as_slice(), &mut out, 13);
         let want = matmul(&w.transpose2d().unwrap(), &b).unwrap();
         assert_close(&out, want.as_slice());
     }

@@ -34,11 +34,14 @@ impl ScratchPool {
 
     /// Takes a buffer of exactly `len` elements with unspecified contents.
     ///
-    /// Prefers a pooled buffer whose capacity already covers `len` (no
-    /// allocation); otherwise grows a pooled buffer or allocates fresh.
+    /// Prefers the smallest pooled buffer whose capacity already covers
+    /// `len` (no allocation, and a small request never holds a large buffer
+    /// another taker needs); otherwise grows a pooled buffer or allocates
+    /// fresh.
     pub fn take(&self, len: usize) -> Vec<f32> {
         let mut free = self.free.lock().expect("scratch pool mutex");
-        if let Some(pos) = free.iter().position(|b| b.capacity() >= len) {
+        let fits = free.iter().enumerate().filter(|(_, b)| b.capacity() >= len);
+        if let Some((pos, _)) = fits.min_by_key(|(_, b)| b.capacity()) {
             let mut buf = free.swap_remove(pos);
             buf.resize(len, 0.0);
             return buf;

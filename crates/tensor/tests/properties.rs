@@ -310,44 +310,70 @@ proptest! {
         prop_assert_eq!(&dw_serial[..], &dw[..]);
     }
 
-    /// The conv spike path (forward gather + dW gather) must be bit-identical
-    /// to the dense executor on binary inputs at every density.
+    /// The conv spike path (forward and dW over the packed operand) must be
+    /// bit-identical to the reference on binary inputs at every density,
+    /// with and without a weight plan, at 1 and 2 threads. Input edges of
+    /// 1–3 pixels under padding make most im2col taps read padding, the
+    /// shape of Small VGG-16's conv7–12 (1×1 under padding 1).
     #[test]
     fn spike_gather_conv_bit_identical_to_dense(
         b in 1usize..5,
         cin in 1usize..4,
         f in 1usize..5,
+        edges in (0usize..4, 0usize..4),
+        stride in 1usize..3,
+        padding in 0usize..2,
+        planned in 0usize..2,
         density_sel in 0usize..4,
         seed in 0u64..300,
     ) {
+        use ndsnn_tensor::ops::tile::BiasRow;
+        use ndsnn_tensor::parallel::set_thread_override;
+        use ndsnn_tensor::{reference, Csr};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let density = [0.0, 0.05, 0.5, 1.0][density_sel];
+        let (h, w_in) = ([1, 2, 3, 6][edges.0], [1, 2, 3, 6][edges.1]);
+        // A 3×3 kernel wherever it fits the padded input, else 1×1.
+        let fits = h.min(w_in) + 2 * padding >= 3;
+        let g = Conv2dGeometry::square(cin, f, if fits { 3 } else { 1 }, stride, padding);
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = Conv2dGeometry::square(cin, f, 3, 1, 1);
         let x = Tensor::from_vec(
-            [b, cin, 6, 6],
-            (0..b * cin * 36)
+            [b, cin, h, w_in],
+            (0..b * cin * h * w_in)
                 .map(|_| f32::from(rng.gen::<f64>() < density))
                 .collect(),
         )
         .unwrap();
-        let w = ndsnn_tensor::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
-        let pool = ScratchPool::new();
-
-        let dense = fwd(&x, &w, &g).unwrap();
-        let spike =
-            conv2d_forward(&x, &w, &g, ConvKernel::SpikeGather, &NoEpilogue, &pool).unwrap();
-        prop_assert_eq!(dense.as_slice(), spike.as_slice());
-
-        let gy = ndsnn_tensor::init::uniform(dense.shape().clone(), -1.0, 1.0, &mut rng);
-        let gather = ConvBackward {
+        let mut w = ndsnn_tensor::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
+        let bias = ndsnn_tensor::init::uniform([f], -1.0, 1.0, &mut rng);
+        let plan = (planned == 1).then(|| {
+            let mask: Vec<f32> = (0..w.len()).map(|_| f32::from(rng.gen_bool(0.1))).collect();
+            for (wv, m) in w.as_mut_slice().iter_mut().zip(&mask) {
+                *wv *= m;
+            }
+            Csr::from_mask_transposed(f, g.col_rows(), &mask)
+        });
+        let want = reference::conv2d_forward(&x, &w, Some(bias.as_slice()), &g);
+        let gy = ndsnn_tensor::init::uniform(want.shape().clone(), -1.0, 1.0, &mut rng);
+        let want_grads = reference::conv2d_backward(&x, &w, &gy, &g);
+        let dispatch = ConvBackward {
+            weight_plan: plan.as_ref(),
             spike_gather_dw: true,
             ..ConvBackward::default()
         };
-        let bd = bwd(&x, &w, &gy, &g).unwrap();
-        let bs = conv2d_backward(&x, &w, &gy, &g, &gather, &pool).unwrap();
-        prop_assert_eq!(bd.weight_grad.as_slice(), bs.weight_grad.as_slice());
-        prop_assert_eq!(bd.bias_grad.as_slice(), bs.bias_grad.as_slice());
-        prop_assert_eq!(bd.input_grad.as_slice(), bs.input_grad.as_slice());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let pool = ScratchPool::new();
+        for threads in [1usize, 2] {
+            set_thread_override(Some(threads));
+            let kernel = ConvKernel::SpikeGather(plan.as_ref());
+            let got = conv2d_forward(&x, &w, &g, kernel, &BiasRow(bias.as_slice()), &pool);
+            let grads = conv2d_backward(&x, &w, &gy, &g, &dispatch, &pool);
+            set_thread_override(None);
+            let (got, grads) = (got.unwrap(), grads.unwrap());
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(bits(&grads.weight_grad), bits(&want_grads.weight_grad));
+            prop_assert_eq!(bits(&grads.bias_grad), bits(&want_grads.bias_grad));
+            prop_assert_eq!(bits(&grads.input_grad), bits(&want_grads.input_grad));
+        }
     }
 }

@@ -170,9 +170,10 @@ proptest! {
 
     /// The sparse forward kernels apply the epilogue per output-channel row
     /// of each sample, after the full accumulation: on a binary input and a
-    /// weight that is zero off its plan, `WeightPlan` and `SpikeGather` with
-    /// a frozen-BatchNorm affine (conv bias folded in) must give the bits of
-    /// `Dense` with the same epilogue fused per tile.
+    /// weight that is zero off its plan, `WeightPlan` and `SpikeGather` (with
+    /// and without the plan) with a frozen-BatchNorm affine (conv bias folded
+    /// in) must give the bits of `Dense` with the same epilogue fused per
+    /// tile.
     #[test]
     fn sparse_conv_kernels_with_affine_epilogue_bit_identical_to_dense(
         b in 1usize..4, cin in 1usize..4, f in 1usize..6, density_sel in 0usize..4,
@@ -192,7 +193,7 @@ proptest! {
         for (wv, m) in w.as_mut_slice().iter_mut().zip(&mask) {
             *wv *= m;
         }
-        let pat = Csr::from_mask(f, g.col_rows(), &mask);
+        let pat = Csr::from_mask_transposed(f, g.col_rows(), &mask);
         let per_channel = |lo: f32, hi: f32, rng: &mut StdRng| {
             ndsnn_tensor::init::uniform([f], lo, hi, rng).as_slice().to_vec()
         };
@@ -215,7 +216,8 @@ proptest! {
             let dense = conv2d_forward(&x, &w, &g, ConvKernel::Dense, &epi, &pool).unwrap();
             for (label, kernel) in [
                 ("weight plan", ConvKernel::WeightPlan(&pat)),
-                ("spike gather", ConvKernel::SpikeGather),
+                ("spike gather", ConvKernel::SpikeGather(None)),
+                ("spike gather over the plan", ConvKernel::SpikeGather(Some(&pat))),
             ] {
                 let got = conv2d_forward(&x, &w, &g, kernel, &epi, &pool).unwrap();
                 assert_bits(label, got.as_slice(), dense.as_slice())?;
