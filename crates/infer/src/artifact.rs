@@ -26,6 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use ndsnn::checkpoint::{decode_blobs, encode_blobs, write_atomic};
 use ndsnn::recovery::{BlobReader, BlobWriter};
@@ -52,10 +53,49 @@ pub enum WeightStore {
     /// `(F, C, KH, KW)` conv).
     Dense(Tensor),
     /// CSR over the 2-D view (`Out × In` linear, `F × (C·KH·KW)` conv).
-    Csr(Csr<f32>),
+    Csr(CsrWeight),
     /// Per-channel symmetric int8 CSR over the same 2-D view, with a
     /// density-selected compressed index encoding on disk.
     QuantCsr(QuantWeight),
+}
+
+/// A frozen f32 weight in CSR over its 2-D kernel view. A convolution
+/// reads it through its column view ([`Csr::column_view`]), built on first
+/// use and kept with the weight, so every executor over one artifact — a
+/// serving worker, its restarts, a direct check — shares one copy.
+#[derive(Debug, Clone)]
+pub struct CsrWeight {
+    csr: Csr<f32>,
+    cols: OnceLock<(Csr, Vec<f32>)>,
+}
+
+/// Equal weights: the column view is derived from the CSR.
+impl PartialEq for CsrWeight {
+    fn eq(&self, other: &Self) -> bool {
+        self.csr == other.csr
+    }
+}
+
+impl From<Csr<f32>> for CsrWeight {
+    fn from(csr: Csr<f32>) -> Self {
+        CsrWeight {
+            csr,
+            cols: OnceLock::new(),
+        }
+    }
+}
+
+impl CsrWeight {
+    /// The weight over the 2-D kernel view.
+    pub fn csr(&self) -> &Csr<f32> {
+        &self.csr
+    }
+
+    /// The column view and its values, built once per weight.
+    pub fn column_view(&self) -> (&Csr, &[f32]) {
+        let (cols, vals) = self.cols.get_or_init(|| self.csr.column_view());
+        (cols, vals)
+    }
 }
 
 impl WeightStore {
@@ -66,7 +106,7 @@ impl WeightStore {
                 let nz = t.as_slice().iter().filter(|&&v| v != 0.0).count();
                 nz as f64 / t.len().max(1) as f64
             }
-            WeightStore::Csr(m) => m.density(),
+            WeightStore::Csr(m) => m.csr().density(),
             WeightStore::QuantCsr(q) => q.csr().density(),
         }
     }
@@ -251,6 +291,7 @@ fn encode_store(w: &mut BlobWriter, store: &WeightStore) {
             w.put_tensor(t);
         }
         WeightStore::Csr(m) => {
+            let m = m.csr();
             w.put_u8(1);
             let (rows, cols) = m.dims();
             w.put_usize(rows);
@@ -313,7 +354,9 @@ fn decode_store(r: &mut BlobReader<'_>, quant_ok: bool) -> Result<WeightStore> {
             // from_parts re-validates every CSR invariant, so a corrupted
             // artifact cannot smuggle an out-of-bounds index to the kernels.
             Ok(WeightStore::Csr(
-                Csr::from_parts(rows, cols, row_ptr, col_indices, values).map_err(bad)?,
+                Csr::from_parts(rows, cols, row_ptr, col_indices, values)
+                    .map_err(bad)?
+                    .into(),
             ))
         }
         2 if quant_ok => {
@@ -558,6 +601,44 @@ fn decode_op(r: &mut BlobReader<'_>, depth: usize, quant_ok: bool) -> Result<Op>
     })
 }
 
+/// The structural binary-input walk: for every op in pre-order (a
+/// `Residual` before its main, shortcut and output children — the order of
+/// the executor's per-op counters), whether its input is certainly 0/1
+/// spikes. Raw input images are not; `Lif` output is; `MaxPool2d` and
+/// `Flatten` preserve binariness; `AvgPool2d`, `GlobalAvgPool`, `Affine`
+/// and weighted layers destroy it; a `Residual` block's output is its
+/// `lif_out` spike layer's. The quantizer quantizes only the layers it
+/// marks, and the executor runs their sparse convolutions on the spike
+/// walk.
+pub(crate) fn binary_inputs(ops: &[Op]) -> Vec<bool> {
+    fn walk(ops: &[Op], mut binary: bool, out: &mut Vec<bool>) -> bool {
+        for op in ops {
+            out.push(binary);
+            binary = match op {
+                Op::Lif { .. } => true,
+                Op::MaxPool2d { .. } | Op::Flatten { .. } => binary,
+                Op::Residual {
+                    main,
+                    shortcut,
+                    lif_out,
+                    ..
+                } => {
+                    walk(main, binary, out);
+                    walk(shortcut, binary, out);
+                    // The add of main + shortcut is not binary; the block's
+                    // output is whatever its spike layer emits.
+                    walk(std::slice::from_ref(lif_out), false, out)
+                }
+                _ => false,
+            };
+        }
+        binary
+    }
+    let mut out = Vec::new();
+    walk(ops, false, &mut out);
+    out
+}
+
 /// Whether an op (or any of a Residual's children) carries an int8 weight.
 fn op_has_quant(op: &Op) -> bool {
     match op {
@@ -734,7 +815,7 @@ mod tests {
                         stride: 1,
                         padding: 0,
                     },
-                    weight: WeightStore::Csr(Csr::from_weight(&conv_w).unwrap()),
+                    weight: WeightStore::Csr(Csr::from_weight(&conv_w).unwrap().into()),
                     bias: None,
                 },
                 Op::Affine {
@@ -837,6 +918,49 @@ mod tests {
         let back = Artifact::load(&path).unwrap();
         assert_eq!(back, art);
         std::fs::remove_file(path).ok();
+    }
+
+    /// The walk flags every op in the executor's counter order, a
+    /// residual block's children after it: spikes reach the block's convs
+    /// and whatever follows a LIF or max-pool, nothing past an affine, an
+    /// average or the block's add.
+    #[test]
+    fn binary_walk_flags_each_op_in_counter_order() {
+        let lif = || Op::Lif {
+            name: "lif".to_string(),
+            alpha: 0.5,
+            v_threshold: 1.0,
+            hard_reset: false,
+        };
+        let (flat, avg) = (
+            Op::Flatten { name: "f".into() },
+            Op::GlobalAvgPool { name: "g".into() },
+        );
+        let ops = vec![
+            flat.clone(),
+            lif(),
+            Op::MaxPool2d {
+                name: "m".into(),
+                kernel: 2,
+            },
+            Op::Residual {
+                name: "block".to_string(),
+                main: vec![flat.clone(), avg.clone(), lif(), flat.clone()],
+                shortcut: vec![flat.clone()],
+                lif_out: Box::new(lif()),
+            },
+            lif(),
+            avg,
+            flat,
+        ];
+        let want = [
+            false, false, true, true, // flatten, lif, max-pool, block
+            true, true, false, true,  // main
+            true,  // shortcut
+            false, // lif_out after the add
+            true, true, false, // lif, average, flatten
+        ];
+        assert_eq!(binary_inputs(&ops), want);
     }
 
     #[test]

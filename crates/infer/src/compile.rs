@@ -84,7 +84,7 @@ impl Lowering {
             .collect();
         self.digest = self.digest.rotate_left(13) ^ u64::from(crc32(&bitmap));
         Ok(if density < self.threshold {
-            WeightStore::Csr(Csr::from_weight(weight)?)
+            WeightStore::Csr(Csr::from_weight(weight)?.into())
         } else {
             WeightStore::Dense(weight.clone())
         })

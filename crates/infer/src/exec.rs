@@ -17,19 +17,18 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ndsnn_sparse::csr::{csr_mm, csr_mm_packed, csr_xwt};
-use ndsnn_tensor::ops::conv::{conv2d_forward, im2col, im2col_packed, Conv2dGeometry, ConvKernel};
+use ndsnn_tensor::ops::conv::{conv2d_forward, Conv2dGeometry, ConvWeight};
 use ndsnn_tensor::ops::matmul::matmul_a_bt;
 use ndsnn_tensor::ops::pool::{
     avg_pool2d_forward, global_avg_pool, max_pool2d_forward, Pool2dGeometry,
 };
-use ndsnn_tensor::ops::quant::{csr_mm_i8, csr_mm_packed_i8, csr_xwt_i8, requantize_rows};
+use ndsnn_tensor::ops::quant::csr_xwt_i8;
+use ndsnn_tensor::ops::spmm::csr_xwt;
 use ndsnn_tensor::ops::tile::{AffineLifRow, AffineRow, BiasRow, NoEpilogue, TileEpilogue};
-use ndsnn_tensor::parallel::parallel_for_chunks;
 use ndsnn_tensor::scratch::ScratchPool;
 use ndsnn_tensor::Tensor;
 
-use crate::artifact::{Artifact, Op, WeightStore};
+use crate::artifact::{binary_inputs, Artifact, Op, WeightStore};
 use crate::error::{InferError, Result};
 
 /// Membrane state of one frozen LIF layer.
@@ -49,12 +48,6 @@ impl LifState {
         self.o_prev = None;
     }
 }
-
-/// Input density below which the CSR conv switches to the packed-sparse
-/// path ([`im2col_packed`] + [`csr_mm_packed`]). Purely a dispatch heuristic
-/// (both paths are bit-identical): above it, packing the non-zeros costs
-/// more than the dense im2col work it avoids.
-const GATHER_DENSITY_CUTOFF: f64 = 0.5;
 
 fn exec_err(msg: impl std::fmt::Display) -> InferError {
     InferError::Exec(msg.to_string())
@@ -203,6 +196,9 @@ pub struct Executor {
     /// Global counter index of each top-level op (Residual children occupy
     /// the slots after their parent).
     global_idx: Vec<usize>,
+    /// Per counter slot, whether the op's input is certainly binary
+    /// ([`binary_inputs`]): a sparse conv there runs the spike walk.
+    binary: Vec<bool>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -225,6 +221,7 @@ impl Executor {
         let states = (0..lif_count).map(|_| LifState::default()).collect();
         let (steps, global_idx) = build_steps(&artifact.ops, artifact.manifest.timesteps);
         Executor {
+            binary: binary_inputs(&artifact.ops),
             art: artifact,
             states,
             ns,
@@ -361,6 +358,7 @@ impl Executor {
                     gamma: gamma.as_slice(),
                     beta: beta.as_slice(),
                 };
+                let binary = self.binary[idx];
                 let out = match lif {
                     Some(li) => {
                         let v_threshold = match &art.ops[li] {
@@ -371,9 +369,9 @@ impl Executor {
                             affine: affine_epi,
                             v_threshold,
                         };
-                        self.run_conv(name, weight, geometry, &x, &epi)?
+                        self.run_conv(name, weight, geometry, &x, binary, &epi)?
                     }
-                    None => self.run_conv(name, weight, geometry, &x, &affine_epi)?,
+                    None => self.run_conv(name, weight, geometry, &x, binary, &affine_epi)?,
                 };
                 if lif.is_some() {
                     // The fused threshold consumed the LIF's slot for this
@@ -403,10 +401,16 @@ impl Executor {
                 geometry,
                 weight,
                 bias,
-            } => match bias {
-                Some(b) => self.run_conv(name, weight, geometry, &x, &BiasRow(b.as_slice()))?,
-                None => self.run_conv(name, weight, geometry, &x, &NoEpilogue)?,
-            },
+            } => {
+                let binary = self.binary[idx];
+                match bias {
+                    Some(b) => {
+                        let epi = BiasRow(b.as_slice());
+                        self.run_conv(name, weight, geometry, &x, binary, &epi)?
+                    }
+                    None => self.run_conv(name, weight, geometry, &x, binary, &NoEpilogue)?,
+                }
+            }
             Op::Affine {
                 name,
                 mean,
@@ -501,7 +505,7 @@ impl Executor {
                 // Same zero-seeded accumulate the training graph's exec plan
                 // uses; csr_xwt is bit-identical to matmul_a_bt per row.
                 let mut y = Tensor::zeros([b, out_features]);
-                csr_xwt(m, x.as_slice(), y.as_mut_slice(), b);
+                csr_xwt(m.csr(), x.as_slice(), y.as_mut_slice(), b);
                 y
             }
             WeightStore::QuantCsr(q) => {
@@ -535,147 +539,33 @@ impl Executor {
     /// Runs one convolution with `epi` applied after each output element's
     /// full accumulation: the unfused `Conv2d` op passes its bias
     /// ([`BiasRow`], or [`NoEpilogue`]), a fused block its affine and
-    /// threshold.
+    /// threshold. Training's forward runs every store: dense ones on the
+    /// tiles, CSR and int8 ones through their memoized column view, on the
+    /// spike walk where `binary` certifies the input 0/1.
     fn run_conv(
         &self,
         name: &str,
         weight: &WeightStore,
         g: &Conv2dGeometry,
         x: &Tensor,
+        binary: bool,
         epi: &impl TileEpilogue,
     ) -> Result<Tensor> {
-        let pool = &self.pool;
-        match weight {
-            WeightStore::Dense(w) => conv2d_forward(x, w, g, ConvKernel::Dense, epi, pool)
-                .map_err(|e| exec_err(format!("{name}: {e}"))),
+        let weight = match weight {
+            WeightStore::Dense(w) => ConvWeight::Dense(w),
             WeightStore::Csr(m) => {
-                self.run_conv_sparse(name, m.dims(), g, x, epi, |cols, out, n| match cols {
-                    SampleCols::Packed { ptr, pos, vals } => {
-                        csr_mm_packed(m, ptr, pos, vals, out, n)
-                    }
-                    SampleCols::Dense(col) => csr_mm(m, col, out, n),
-                })
+                let (cols, vals) = m.column_view();
+                ConvWeight::Cols(cols, vals)
             }
-            // Multiply-free: binary spikes accumulate raw i8 weights into
-            // `i32`, then one f32 requantize multiply per output element.
-            // Integer accumulation is exact and order-free, so both kernels
-            // give identical accumulators.
             WeightStore::QuantCsr(q) => {
-                self.run_conv_sparse(name, q.csr().dims(), g, x, epi, |cols, out, n| {
-                    let mut acc = pool.take_i32_zeroed(out.len());
-                    match cols {
-                        SampleCols::Packed { ptr, pos, .. } => {
-                            csr_mm_packed_i8(q.csr(), ptr, pos, &mut acc, n)
-                        }
-                        SampleCols::Dense(col) => csr_mm_i8(q.csr(), col, &mut acc, n),
-                    }
-                    requantize_rows(&acc, q.scales(), out, n);
-                    pool.give_i32(acc);
-                })
+                let (cols, vals) = q.column_view();
+                ConvWeight::Int8(cols, vals, q.scales())
             }
-        }
+        };
+        let spikes = binary && !matches!(weight, ConvWeight::Dense(_));
+        conv2d_forward(x, weight, g, spikes, epi, &self.pool)
+            .map_err(|e| exec_err(format!("{name}: {e}")))
     }
-
-    /// Shared loop of the CSR and int8 convolutions: the dense kernel's
-    /// sample-parallel structure, with `kernel(cols, out_chunk, spatial)`
-    /// accumulating one sample into its `+0.0`-seeded output chunk in the
-    /// dense accumulation order, so results are bit-identical to it.
-    ///
-    /// Spiking inputs are mostly zeros: a quiet sample (below
-    /// [`GATHER_DENSITY_CUTOFF`]) packs its non-zero pixels directly
-    /// ([`im2col_packed`], never materializing the dense im2col buffer) for
-    /// a gather kernel; a busy one (the first conv sees raw images) takes
-    /// [`im2col`] and a streaming kernel, whose contiguous accesses
-    /// vectorize where the gather's scattered read-modify-writes serialize.
-    /// The choice is a pure dispatch heuristic. A sample that fired nothing
-    /// skips the kernel — its chunk already holds the dense result — but
-    /// `epi` still runs per output-channel row of every sample (the affine
-    /// of zero is not zero).
-    fn run_conv_sparse(
-        &self,
-        name: &str,
-        wdims: (usize, usize),
-        g: &Conv2dGeometry,
-        input: &Tensor,
-        epi: &impl TileEpilogue,
-        kernel: impl Fn(SampleCols<'_>, &mut [f32], usize) + Sync,
-    ) -> Result<Tensor> {
-        if input.rank() != 4 || input.dims()[1] != g.in_channels {
-            return Err(exec_err(format!(
-                "{name}: input {:?} does not match conv geometry",
-                input.dims()
-            )));
-        }
-        let d = input.dims();
-        let (b, h, iw) = (d[0], d[2], d[3]);
-        let (oh, ow) = g
-            .output_hw(h, iw)
-            .map_err(|e| exec_err(format!("{name}: {e}")))?;
-        let spatial = oh * ow;
-        let cr = g.col_rows();
-        if wdims != (g.out_channels, cr) {
-            return Err(exec_err(format!(
-                "{name}: sparse weight {wdims:?} does not match geometry ({}, {cr})",
-                g.out_channels
-            )));
-        }
-        let mut out = Tensor::zeros([b, g.out_channels, oh, ow]);
-        let in_data = input.as_slice();
-        let in_stride = g.in_channels * h * iw;
-        let pool = &self.pool;
-        let chunks: Vec<_> = out
-            .as_mut_slice()
-            .chunks_mut((g.out_channels * spatial).max(1))
-            .enumerate()
-            .collect();
-        parallel_for_chunks(chunks, |s, out_chunk| {
-            let sample = &in_data[s * in_stride..(s + 1) * in_stride];
-            let nonzero = sample.iter().filter(|v| **v != 0.0).count();
-            if nonzero > 0 {
-                if (nonzero as f64) < GATHER_DENSITY_CUTOFF * sample.len() as f64 {
-                    let mut ptr = pool.take_u32();
-                    let mut pos = pool.take_u32();
-                    let mut vals = pool.take(0);
-                    im2col_packed(
-                        sample, g, h, iw, oh, ow, &mut ptr, &mut pos, &mut vals, pool,
-                    );
-                    let cols = SampleCols::Packed {
-                        ptr: &ptr,
-                        pos: &pos,
-                        vals: &vals,
-                    };
-                    kernel(cols, out_chunk, spatial);
-                    pool.give_u32(ptr);
-                    pool.give_u32(pos);
-                    pool.give(vals);
-                } else {
-                    let mut col = pool.take(cr * spatial);
-                    im2col(sample, g, h, iw, oh, ow, &mut col);
-                    kernel(SampleCols::Dense(&col), out_chunk, spatial);
-                    pool.give(col);
-                }
-            }
-            if !epi.is_noop() {
-                for (f, row) in out_chunk.chunks_mut(spatial).enumerate() {
-                    epi.apply(f, 0, row);
-                }
-            }
-        });
-        Ok(out)
-    }
-}
-
-/// One sample's im2col matrix as a sparse conv kernel reads it.
-enum SampleCols<'a> {
-    /// Row-compressed non-zeros from [`im2col_packed`]: row `r` spans
-    /// `pos[ptr[r]..ptr[r + 1]]` and the matching `vals`.
-    Packed {
-        ptr: &'a [u32],
-        pos: &'a [u32],
-        vals: &'a [f32],
-    },
-    /// The dense `(C·KH·KW) × (OH·OW)` buffer from [`im2col`].
-    Dense(&'a [f32]),
 }
 
 /// Frozen BatchNorm epilogue: per channel `out = γ·(x − μ)·inv_std + β`,
@@ -759,6 +649,7 @@ fn run_lif(
 mod tests {
     use super::*;
     use crate::artifact::Manifest;
+    use ndsnn_tensor::ops::conv::im2col;
     use ndsnn_tensor::Csr;
 
     fn manifest(timesteps: usize, in_channels: usize, image_size: usize) -> Manifest {
@@ -806,7 +697,7 @@ mod tests {
         .unwrap();
         let mut dense = Executor::new(Arc::new(make(WeightStore::Dense(w.clone()))));
         let mut csr = Executor::new(Arc::new(make(WeightStore::Csr(
-            Csr::from_weight(&w).unwrap(),
+            Csr::from_weight(&w).unwrap().into(),
         ))));
         let a = dense.forward(&x).unwrap();
         let b = csr.forward(&x).unwrap();
@@ -1008,8 +899,8 @@ mod tests {
         let wd = Tensor::from_vec([3, 18], fill(54, 7, true)).unwrap();
         let w = Csr::from_weight(&wd).unwrap();
         let bias = Tensor::from_slice(&[0.3, -0.1, 0.05]);
-        // Sample 0 sparse (packed kernel), sample 1 all-zero (kernel skipped,
-        // epilogue still applies), sample 2 dense (streaming kernel).
+        // Sample 0 sparse, sample 1 all-zero (the epilogue still applies),
+        // sample 2 dense.
         let mut xd = fill(3 * 2 * 5 * 5, 11, true);
         xd[50..100].iter_mut().for_each(|v| *v = 0.0);
         xd[100..].iter_mut().enumerate().for_each(|(i, v)| {
@@ -1019,12 +910,17 @@ mod tests {
         for (timesteps, with_lif) in [(1, true), (3, false)] {
             let art = Artifact {
                 manifest: manifest(timesteps, 2, 5),
-                ops: conv_block_ops(WeightStore::Csr(w.clone()), &bias, with_lif),
+                ops: conv_block_ops(WeightStore::Csr(w.clone().into()), &bias, with_lif),
             };
             let mut ex = Executor::new(Arc::new(art));
             let got = ex.forward(&x).unwrap();
-            let want =
-                unfused_reference(WeightStore::Csr(w.clone()), &bias, &x, timesteps, with_lif);
+            let want = unfused_reference(
+                WeightStore::Csr(w.clone().into()),
+                &bias,
+                &x,
+                timesteps,
+                with_lif,
+            );
             assert_bits_eq(&got, &want);
         }
     }
@@ -1069,12 +965,12 @@ mod tests {
     fn quant_conv_weight() -> crate::quant::QuantWeight {
         let wd = Tensor::from_vec([3, 18], fill(54, 7, true)).unwrap();
         let csr = Csr::from_weight(&wd).unwrap();
-        let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr)).unwrap();
+        let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr.into())).unwrap();
         qw
     }
 
-    /// Binary 0/1 spike batch: sample 0 mixed, sample 1 all-zero (kernel
-    /// skipped, epilogue still applies), sample 2 all-ones.
+    /// Binary 0/1 spike batch: sample 0 mixed, sample 1 all-zero (the
+    /// epilogue still applies), sample 2 all-ones.
     fn spike_batch() -> Tensor {
         let mut xd: Vec<f32> = fill(3 * 2 * 5 * 5, 11, true)
             .into_iter()
@@ -1174,7 +1070,7 @@ mod tests {
     fn quantized_linear_matches_integer_hand_reference() {
         let wd = Tensor::from_vec([3, 4], fill(12, 5, true)).unwrap();
         let csr = Csr::from_weight(&wd).unwrap();
-        let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr)).unwrap();
+        let (qw, _) = crate::quant::quantize_store(&WeightStore::Csr(csr.into())).unwrap();
         let art = Artifact {
             manifest: manifest(1, 1, 2),
             ops: vec![
@@ -1214,6 +1110,35 @@ mod tests {
     }
 
     #[test]
+    fn csr_weight_shape_mismatch_is_an_error() {
+        let w = Csr::from_weight(&Tensor::from_vec([3, 18], fill(54, 7, true)).unwrap()).unwrap();
+        let lif = || Op::Lif {
+            name: "lif".to_string(),
+            alpha: 0.5,
+            v_threshold: 0.5,
+            hard_reset: false,
+        };
+        // Raw input (im2col) and, behind a LIF, spikes (the walk): both
+        // refuse the 3x18 weight under a geometry whose col rows are 8.
+        for front in [None, Some(lif())] {
+            let conv = Op::Conv2d {
+                name: "conv".to_string(),
+                geometry: Conv2dGeometry::square(2, 3, 2, 1, 1),
+                weight: WeightStore::Csr(w.clone().into()),
+                bias: None,
+            };
+            let ops = front.into_iter().chain([conv]).collect();
+            let mut ex = Executor::new(Arc::new(Artifact {
+                manifest: manifest(1, 2, 5),
+                ops,
+            }));
+            let x = Tensor::from_vec([1, 2, 5, 5], fill(50, 3, true)).unwrap();
+            let err = ex.forward(&x).unwrap_err().to_string();
+            assert!(err.contains("conv"), "{err}");
+        }
+    }
+
+    #[test]
     fn quantized_weight_shape_mismatch_is_an_error() {
         let qw = quant_conv_weight(); // 3 x 18
         let art = Artifact {
@@ -1229,5 +1154,118 @@ mod tests {
         let mut ex = Executor::new(Arc::new(art));
         let x = Tensor::zeros([1, 2, 5, 5]);
         assert!(ex.forward(&x).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The executor's sparse conv against the naive references, bit for
+        /// bit: `reference::conv2d_forward` for f32 CSR stores (~10% live
+        /// entries plus ~3% stored zeros) and an integer reference (`i32`
+        /// sums over the non-zero taps, then one requantize multiply) for
+        /// int8 ones. Binary inputs come from a LIF in front of the conv, so
+        /// the conv runs the spike walk; raw ones take `im2col` (f32) or
+        /// count every non-zero as a spike (int8). The conv carries a bias,
+        /// a fused affine, both or neither, at 1 and 2 threads.
+        #[test]
+        fn sparse_conv_matches_reference(
+            size in 1usize..7,
+            stride in 1usize..3,
+            padding in 0usize..2,
+            batch in 1usize..6,
+            channels in (1usize..4, 1usize..6),
+            flags in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            affine in proptest::bool::ANY,
+            threads in 1usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let ((cin, cout), (int8, binary, bias)) = (channels, flags);
+            let kernel = if size + 2 * padding >= 3 { 3 } else { 1 };
+            let g = Conv2dGeometry::square(cin, cout, kernel, stride, padding);
+            let (cr, thr) = (g.col_rows(), 0.3f32);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut ptr, mut idx, mut wf, mut wq) = (vec![0u32], vec![], vec![], vec![]);
+            let (mut dense, mut qdense) = (vec![0.0f32; cout * cr], vec![0i32; cout * cr]);
+            let mut scales = Vec::new();
+            for k in 0..cout * cr {
+                let u: f64 = rng.gen();
+                if u < 0.13 {
+                    let v = if u < 0.1 { rng.gen_range(-1.0f32..1.0) } else { 0.0 };
+                    let q = if u < 0.1 { rng.gen_range(-127i8..=127) } else { 0 };
+                    (dense[k], qdense[k]) = (v, i32::from(q));
+                    idx.push((k % cr) as u32);
+                    wf.push(v);
+                    wq.push(q);
+                }
+                if k % cr == cr - 1 {
+                    let stored = idx.len() as u32 > ptr[ptr.len() - 1];
+                    scales.push(if stored { rng.gen_range(0.001f32..0.1) } else { 0.0 });
+                    ptr.push(idx.len() as u32);
+                }
+            }
+            let weight = if int8 {
+                let q = Csr::from_parts(cout, cr, ptr, idx, wq).unwrap();
+                WeightStore::QuantCsr(crate::quant::QuantWeight::new(q, scales.clone()).unwrap())
+            } else {
+                WeightStore::Csr(Csr::from_parts(cout, cr, ptr, idx, wf).unwrap().into())
+            };
+            let mut per_channel = |lo: f32, hi: f32| -> Vec<f32> {
+                (0..cout).map(|_| rng.gen_range(lo..hi)).collect()
+            };
+            let (b, mean, inv_std) = (per_channel(-1.0, 1.0), per_channel(-1.0, 1.0), per_channel(0.5, 2.0));
+            let (gamma, beta) = (per_channel(-2.0, 2.0), per_channel(-1.0, 1.0));
+            let x: Vec<f32> = (0..batch * cin * size * size)
+                .map(|_| if rng.gen_bool(0.4) { 0.0 } else { rng.gen_range(-1.0f32..1.0) })
+                .collect();
+            let x = Tensor::from_vec([batch, cin, size, size], x).unwrap();
+            let lif = Op::Lif { name: "lif".into(), alpha: 0.5, v_threshold: thr, hard_reset: false };
+            let conv = Op::Conv2d { name: "conv".into(), geometry: g, weight, bias: bias.then(|| Tensor::from_slice(&b)) };
+            let (m, is, ga, be) = (mean.clone(), inv_std.clone(), gamma.clone(), beta.clone());
+            let bn = Op::Affine { name: "bn".into(), mean: m, inv_std: is, gamma: ga, beta: be };
+            let ops = [binary.then_some(lif), Some(conv), affine.then_some(bn)];
+            let art = Artifact { manifest: manifest(1, cin, size), ops: ops.into_iter().flatten().collect() };
+            ndsnn_tensor::parallel::set_thread_override(Some(threads));
+            let got = Executor::new(Arc::new(art)).forward(&x);
+            ndsnn_tensor::parallel::set_thread_override(None);
+
+            // One LIF step from reset is a threshold compare on the input.
+            let xin = if binary {
+                let spikes = x.as_slice().iter().map(|&v| f32::from(v - thr >= 0.0)).collect();
+                Tensor::from_vec(x.dims().to_vec(), spikes).unwrap()
+            } else {
+                x
+            };
+            let bias_v = bias.then_some(&b[..]);
+            let (oh, ow) = g.output_hw(size, size).unwrap();
+            let sp = oh * ow;
+            let mut want = if int8 {
+                let (mut out, mut col) = (vec![0.0f32; batch * cout * sp], vec![0.0f32; cr * sp]);
+                let in_len = cin * size * size;
+                for s in 0..batch {
+                    im2col(&xin.as_slice()[s * in_len..(s + 1) * in_len], &g, size, size, oh, ow, &mut col);
+                    for (i, o) in out[s * cout * sp..(s + 1) * cout * sp].iter_mut().enumerate() {
+                        let (f, p) = (i / sp, i % sp);
+                        let on = (0..cr).filter(|&r| col[r * sp + p] != 0.0);
+                        *o = scales[f] * on.map(|r| qdense[f * cr + r]).sum::<i32>() as f32;
+                        if let Some(bv) = bias_v {
+                            *o += bv[f];
+                        }
+                    }
+                }
+                out
+            } else {
+                let w = Tensor::from_vec(g.weight_dims(), dense).unwrap();
+                ndsnn_tensor::reference::conv2d_forward(&xin, &w, bias_v, &g).as_slice().to_vec()
+            };
+            for (i, v) in want.iter_mut().enumerate().filter(|_| affine) {
+                let f = i / sp % cout;
+                *v = gamma[f] * ((*v - mean[f]) * inv_std[f]) + beta[f];
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let got = got.unwrap();
+            proptest::prop_assert_eq!(got.dims(), &[batch, cout, oh, ow][..]);
+            proptest::prop_assert_eq!(bits(got.as_slice()), bits(&want));
+        }
     }
 }

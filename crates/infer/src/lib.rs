@@ -7,13 +7,15 @@
 //! - [`compile`](mod@compile) — rebuilds the trained network from its
 //!   [`ndsnn::config::RunConfig`] + parameter snapshot, folds BatchNorm
 //!   into frozen per-channel affine epilogues, packs masked weights into
-//!   CSR ([`ndsnn_tensor::Csr`], run by the [`ndsnn_sparse::csr`] kernels)
-//!   below a density threshold, and emits a
+//!   CSR ([`ndsnn_tensor::Csr`]) below a density threshold, and emits a
 //!   checksummed **NDINF1** [`artifact::Artifact`];
 //! - [`exec`] — a forward-only [`exec::Executor`] that replays the frozen
 //!   graph **bit-identically** to the training graph's eval forward (same
-//!   kernels or loops with identical accumulation order), with preallocated
-//!   membrane state and per-op latency counters;
+//!   kernels or loops with identical accumulation order: every conv runs
+//!   `ndsnn_tensor::ops::conv`'s forward, sparse ones on the training
+//!   spike walk over the weight's column view, linear layers
+//!   `ndsnn_tensor::ops::spmm::csr_xwt`), with preallocated membrane state
+//!   and per-op latency counters;
 //! - [`serve`] — a supervised serving control plane ([`serve::Server`]):
 //!   one dispatcher thread owns the executor, coalesces concurrent
 //!   requests under a max-batch/max-wait [`serve::BatchPolicy`], and wraps
@@ -49,7 +51,7 @@ pub mod registry;
 pub mod router;
 pub mod serve;
 
-pub use artifact::{store_encoded_bytes, Artifact, Manifest, Op, WeightStore};
+pub use artifact::{store_encoded_bytes, Artifact, CsrWeight, Manifest, Op, WeightStore};
 pub use compile::{compile, compile_from_checkpoint_dir, compile_snapshot, lower, CompileOptions};
 pub use error::{InferError, Result};
 pub use exec::Executor;

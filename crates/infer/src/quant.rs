@@ -52,7 +52,7 @@ use ndsnn_tensor::ops::quant::MAX_QUANT_ROW_NNZ;
 use ndsnn_tensor::Csr;
 use std::sync::OnceLock;
 
-use crate::artifact::{store_encoded_bytes, Artifact, Op, WeightStore};
+use crate::artifact::{binary_inputs, store_encoded_bytes, Artifact, Op, WeightStore};
 use crate::error::{InferError, Result};
 
 /// Default relative-L2 reconstruction error above which a layer keeps its
@@ -183,9 +183,13 @@ pub struct QuantWeight {
     /// quantizer's size-table label, [`store_encoded_bytes`] and
     /// [`Artifact::encode`] all read this one stream.
     indices: OnceLock<(IndexEncoding, Vec<u8>)>,
+    /// The column view a convolution walks, built on first use and shared
+    /// like [`crate::artifact::CsrWeight`]'s.
+    cols: OnceLock<(Csr, Vec<i8>)>,
 }
 
-/// Equal weights: the index stream is derived from the CSR.
+/// Equal weights: the index stream and column view are derived from the
+/// CSR.
 impl PartialEq for QuantWeight {
     fn eq(&self, other: &Self) -> bool {
         self.csr == other.csr && self.scales == other.scales
@@ -231,6 +235,7 @@ impl QuantWeight {
             csr,
             scales,
             indices: OnceLock::new(),
+            cols: OnceLock::new(),
         })
     }
 
@@ -242,6 +247,12 @@ impl QuantWeight {
     /// Per-row requantization scales.
     pub fn scales(&self) -> &[f32] {
         &self.scales
+    }
+
+    /// The column view and its values, built once per weight.
+    pub fn column_view(&self) -> (&Csr, &[i8]) {
+        let (cols, vals) = self.cols.get_or_init(|| self.csr.column_view());
+        (cols, vals)
     }
 
     /// The index encoding the writer uses: bitmap when its section is
@@ -492,6 +503,7 @@ fn store_rows(store: &WeightStore) -> Result<(usize, usize, Vec<Vec<(u32, f32)>>
             Ok((rows, cols, entries))
         }
         WeightStore::Csr(m) => {
+            let m = m.csr();
             let entries = (0..m.rows())
                 .map(|r| {
                     let (cis, vs) = m.row_entries(r);
@@ -537,15 +549,13 @@ impl LayerQuantRow {
 /// the (possibly) NDINF2 artifact plus one [`LayerQuantRow`] per weighted
 /// layer.
 ///
-/// Eligibility is decided by a compile-time **binary-input walk**: the
-/// multiply-free gather-add kernels are only exact when a layer's input is
-/// guaranteed to be 0/1 spikes, so the walk tracks that property through
-/// the graph — raw input images are *not* binary (the first conv always
-/// keeps f32); `Lif` output is binary; `MaxPool2d` and `Flatten` preserve
-/// binariness; `AvgPool2d`, `GlobalAvgPool`, `Affine` and weighted layers
-/// destroy it; a `Residual` block's output is its `lif_out` spike layer.
-/// An eligible layer still falls back to f32 when its reconstruction error
-/// exceeds [`QuantOptions::max_rel_error`].
+/// Eligibility is decided by the compile-time **binary-input walk**
+/// (`artifact::binary_inputs`, which the executor also follows):
+/// the multiply-free gather-add kernels are only exact when a layer's
+/// input is guaranteed to be 0/1 spikes, and raw input images are not, so
+/// the first conv always keeps f32. An eligible layer still falls back to
+/// f32 when its reconstruction error exceeds
+/// [`QuantOptions::max_rel_error`].
 ///
 /// The manifest (densities, mask digest, provenance) is carried over
 /// unchanged: quantization is a storage/kernels decision, not a different
@@ -555,7 +565,8 @@ pub fn quantize_artifact(
     opts: &QuantOptions,
 ) -> Result<(Artifact, Vec<LayerQuantRow>)> {
     let mut rows = Vec::new();
-    let (ops, _) = quantize_ops(&art.ops, false, opts, &mut rows)?;
+    let mut binary = binary_inputs(&art.ops).into_iter();
+    let ops = quantize_ops(&art.ops, &mut binary, opts, &mut rows)?;
     Ok((
         Artifact {
             manifest: art.manifest.clone(),
@@ -565,19 +576,18 @@ pub fn quantize_artifact(
     ))
 }
 
+/// The walk's flags, one per op in pre-order.
+type BinaryFlags = std::vec::IntoIter<bool>;
+
 fn quantize_ops(
     ops: &[Op],
-    mut binary: bool,
+    binary: &mut BinaryFlags,
     opts: &QuantOptions,
     rows: &mut Vec<LayerQuantRow>,
-) -> Result<(Vec<Op>, bool)> {
-    let mut out = Vec::with_capacity(ops.len());
-    for op in ops {
-        let (new_op, b) = quantize_op(op, binary, opts, rows)?;
-        out.push(new_op);
-        binary = b;
-    }
-    Ok((out, binary))
+) -> Result<Vec<Op>> {
+    ops.iter()
+        .map(|op| quantize_op(op, binary, opts, rows))
+        .collect()
 }
 
 fn maybe_quantize(
@@ -618,10 +628,11 @@ fn maybe_quantize(
 
 fn quantize_op(
     op: &Op,
-    binary_in: bool,
+    binary: &mut BinaryFlags,
     opts: &QuantOptions,
     rows: &mut Vec<LayerQuantRow>,
-) -> Result<(Op, bool)> {
+) -> Result<Op> {
+    let binary_in = binary.next().expect("the walk flags every op");
     Ok(match op {
         Op::Linear {
             name,
@@ -629,54 +640,36 @@ fn quantize_op(
             in_features,
             weight,
             bias,
-        } => (
-            Op::Linear {
-                name: name.clone(),
-                out_features: *out_features,
-                in_features: *in_features,
-                weight: maybe_quantize(name, weight, binary_in, opts, rows)?,
-                bias: bias.clone(),
-            },
-            false,
-        ),
+        } => Op::Linear {
+            name: name.clone(),
+            out_features: *out_features,
+            in_features: *in_features,
+            weight: maybe_quantize(name, weight, binary_in, opts, rows)?,
+            bias: bias.clone(),
+        },
         Op::Conv2d {
             name,
             geometry,
             weight,
             bias,
-        } => (
-            Op::Conv2d {
-                name: name.clone(),
-                geometry: *geometry,
-                weight: maybe_quantize(name, weight, binary_in, opts, rows)?,
-                bias: bias.clone(),
-            },
-            false,
-        ),
-        Op::Lif { .. } => (op.clone(), true),
-        Op::MaxPool2d { .. } | Op::Flatten { .. } => (op.clone(), binary_in),
-        Op::Affine { .. } | Op::AvgPool2d { .. } | Op::GlobalAvgPool { .. } => (op.clone(), false),
+        } => Op::Conv2d {
+            name: name.clone(),
+            geometry: *geometry,
+            weight: maybe_quantize(name, weight, binary_in, opts, rows)?,
+            bias: bias.clone(),
+        },
         Op::Residual {
             name,
             main,
             shortcut,
             lif_out,
-        } => {
-            let (m, _) = quantize_ops(main, binary_in, opts, rows)?;
-            let (s, _) = quantize_ops(shortcut, binary_in, opts, rows)?;
-            // The add of main + shortcut is not binary; the block's output
-            // is whatever its spike layer emits.
-            let (lo, lo_binary) = quantize_op(lif_out, false, opts, rows)?;
-            (
-                Op::Residual {
-                    name: name.clone(),
-                    main: m,
-                    shortcut: s,
-                    lif_out: Box::new(lo),
-                },
-                lo_binary,
-            )
-        }
+        } => Op::Residual {
+            name: name.clone(),
+            main: quantize_ops(main, binary, opts, rows)?,
+            shortcut: quantize_ops(shortcut, binary, opts, rows)?,
+            lif_out: Box::new(quantize_op(lif_out, binary, opts, rows)?),
+        },
+        _ => op.clone(),
     })
 }
 
@@ -777,7 +770,7 @@ mod tests {
         let cols = MAX_QUANT_ROW_NNZ;
         let widest =
             Csr::from_parts(1, cols, vec![0, 1], vec![cols as u32 - 1], vec![1.0]).unwrap();
-        let (wide, _) = quantize_store(&WeightStore::Csr(widest)).unwrap();
+        let (wide, _) = quantize_store(&WeightStore::Csr(widest.into())).unwrap();
         assert_eq!(
             wide.encode_indices(),
             (IndexEncoding::DeltaVarint, &[1, 0xFF, 0xFF, 0xFF, 0x07][..])

@@ -6,57 +6,25 @@
 //! **bit-identical** to the training graph's eval-mode forward on the same
 //! weights — at ~90% weight sparsity (CSR paths) and dense (fallback
 //! paths), under thread overrides of 1 and 4. No tolerance, `to_bits`
-//! equality only.
+//! equality only. Every LIF layer must fire on the test images, so every
+//! conv past the first compares real spike inputs, not silence.
+
+mod common;
 
 use std::collections::BTreeMap;
 
-use ndsnn::checkpoint::{restore_params_from_map, snapshot_params};
-use ndsnn::config::{DatasetKind, MethodSpec, RunConfig};
-use ndsnn::profile::Profile;
+use common::{assert_fires, cfg_for, sparse_params};
+use ndsnn::checkpoint::restore_params_from_map;
+use ndsnn::config::RunConfig;
 use ndsnn::trainer::build_network;
 use ndsnn_infer::{compile, Artifact, CompileOptions, Executor};
 use ndsnn_snn::layers::Layer;
 use ndsnn_snn::models::{Architecture, NeuronKind};
 use ndsnn_tensor::parallel::set_thread_override;
 use ndsnn_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn cfg_for(arch: Architecture) -> RunConfig {
-    let mut cfg = Profile::Smoke.run_config(arch, DatasetKind::Cifar10, MethodSpec::Dense);
-    cfg.timesteps = 2;
-    cfg.image_size = cfg.image_size.max(ndsnn::trainer::min_image_size(cfg.arch));
-    cfg
-}
-
-/// Freshly initialized parameters with ~`sparsity` of every weight zeroed
-/// by a deterministic modulo pattern (keeps the kept entries' exact values).
-fn sparse_params(cfg: &RunConfig, sparsity: f64) -> BTreeMap<String, Tensor> {
-    let mut net = build_network(cfg).expect("build network");
-    let mut params = snapshot_params(&mut net.layers);
-    if sparsity > 0.0 {
-        let keep_every = (1.0 / (1.0 - sparsity)).round() as usize;
-        for (name, t) in params.iter_mut() {
-            if name.ends_with(".weight") {
-                for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
-                    if i % keep_every != 0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-        }
-    }
-    params
-}
 
 fn test_images(cfg: &RunConfig, batch: usize) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    ndsnn_tensor::init::uniform(
-        [batch, 3, cfg.image_size, cfg.image_size],
-        0.0,
-        1.0,
-        &mut rng,
-    )
+    common::test_images(cfg, batch, 0xBA7C4)
 }
 
 /// Training-graph eval-mode logits on the given weights.
@@ -89,6 +57,7 @@ fn artifact_logits(
 fn assert_parity(cfg: &RunConfig, sparsity: f64, expect_csr: bool) {
     let params = sparse_params(cfg, sparsity);
     let images = test_images(cfg, 3);
+    assert_fires(cfg, &params, &images);
     for threads in [1usize, 4] {
         set_thread_override(Some(threads));
         let expected = training_logits(cfg, &params, &images);
@@ -219,6 +188,7 @@ fn larger_batches_stay_bitwise_identical_per_sample() {
     let cfg = cfg_for(Architecture::Vgg16);
     let params = sparse_params(&cfg, 0.9);
     let images = test_images(&cfg, 8);
+    assert_fires(&cfg, &params, &images);
     let art = compile(&cfg, &params, &CompileOptions::default()).expect("compile");
     let art = std::sync::Arc::new(art);
     let mut exec = Executor::new(std::sync::Arc::clone(&art));

@@ -14,12 +14,10 @@
 //!    artifact, whose layers pick both the bitmap and the delta-varint index
 //!    encoding, writes pinned bytes.
 
-use std::collections::BTreeMap;
+mod common;
 
-use ndsnn::checkpoint::snapshot_params;
-use ndsnn::config::{DatasetKind, MethodSpec, RunConfig};
-use ndsnn::profile::Profile;
-use ndsnn::trainer::build_network;
+use common::{assert_fires, cfg_for, sparse_params};
+use ndsnn::config::RunConfig;
 use ndsnn_infer::{
     compile, quantize_artifact, Artifact, CompileOptions, Executor, Manifest, Op, QuantOptions,
     WeightStore,
@@ -27,40 +25,9 @@ use ndsnn_infer::{
 use ndsnn_snn::models::Architecture;
 use ndsnn_tensor::parallel::set_thread_override;
 use ndsnn_tensor::{Csr, Tensor};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn cfg_for(arch: Architecture) -> RunConfig {
-    let mut cfg = Profile::Smoke.run_config(arch, DatasetKind::Cifar10, MethodSpec::Dense);
-    cfg.timesteps = 2;
-    cfg.image_size = cfg.image_size.max(ndsnn::trainer::min_image_size(cfg.arch));
-    cfg
-}
-
-fn sparse_params(cfg: &RunConfig, sparsity: f64) -> BTreeMap<String, Tensor> {
-    let mut net = build_network(cfg).expect("build network");
-    let mut params = snapshot_params(&mut net.layers);
-    let keep_every = (1.0 / (1.0 - sparsity)).round() as usize;
-    for (name, t) in params.iter_mut() {
-        if name.ends_with(".weight") {
-            for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
-                if i % keep_every != 0 {
-                    *v = 0.0;
-                }
-            }
-        }
-    }
-    params
-}
 
 fn test_images(cfg: &RunConfig, batch: usize) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(0x0DD5EED);
-    ndsnn_tensor::init::uniform(
-        [batch, 3, cfg.image_size, cfg.image_size],
-        0.0,
-        1.0,
-        &mut rng,
-    )
+    common::test_images(cfg, batch, 0x0DD5EED)
 }
 
 #[test]
@@ -76,6 +43,7 @@ fn quantized_vgg16_logits_are_thread_count_invariant() {
     // Full NDINF2 round trip before running: serving loads from bytes.
     let qart = Artifact::decode(&qart.encode()).expect("NDINF2 round trip");
     let images = test_images(&cfg, 3);
+    assert_fires(&cfg, &params, &images);
     let mut bits: Vec<Vec<u32>> = Vec::new();
     for threads in [1usize, 4] {
         set_thread_override(Some(threads));
@@ -98,6 +66,7 @@ fn quantized_forward_is_deterministic_across_round_trips() {
     let (qart, _) = quantize_artifact(&f32_art, &QuantOptions::default()).expect("quantize");
     let round_tripped = Artifact::decode(&qart.encode()).expect("round trip");
     let images = test_images(&cfg, 4);
+    assert_fires(&cfg, &params, &images);
     let a = Executor::new(std::sync::Arc::new(qart))
         .forward(&images)
         .expect("direct forward");
@@ -171,7 +140,7 @@ fn golden_artifact() -> Artifact {
                 name: "fc".to_string(),
                 out_features: 2,
                 in_features: 4,
-                weight: WeightStore::Csr(Csr::from_weight(&csr_src).unwrap()),
+                weight: WeightStore::Csr(Csr::from_weight(&csr_src).unwrap().into()),
                 bias: Some(Tensor::from_slice(&[0.1, -0.1])),
             },
             Op::Linear {

@@ -1,7 +1,7 @@
 //! Spiking 2-D convolution layer.
 
 use ndsnn_tensor::ops::conv::{
-    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvKernel,
+    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvWeight,
 };
 use ndsnn_tensor::ops::grad::grad_density_threshold_from_env;
 use ndsnn_tensor::ops::spike::spike_density_threshold_from_env;
@@ -133,16 +133,16 @@ impl Conv2d {
             gather = sb.density() < self.spike_threshold;
         }
         let t0 = Instant::now();
-        let pattern = self.weight.exec_pattern()?;
-        let kernel = match pattern {
-            _ if gather => ConvKernel::SpikeGather(pattern),
-            Some(pat) => ConvKernel::WeightPlan(pat),
-            None => ConvKernel::Dense,
-        };
         let (w, g, pool) = (&self.weight.value, &self.geometry, &self.scratch);
+        let weight = match self.weight.exec_pattern()? {
+            Some(pat) => ConvWeight::Plan(w, pat),
+            None => ConvWeight::Dense(w),
+        };
         let out = match &self.bias {
-            Some(b) => conv2d_forward(input, w, g, kernel, &BiasRow(b.value.as_slice()), pool)?,
-            None => conv2d_forward(input, w, g, kernel, &NoEpilogue, pool)?,
+            Some(b) => {
+                conv2d_forward(input, weight, g, gather, &BiasRow(b.value.as_slice()), pool)?
+            }
+            None => conv2d_forward(input, weight, g, gather, &NoEpilogue, pool)?,
         };
         if gather {
             self.exec.kernel_ns += t0.elapsed().as_nanos() as u64;

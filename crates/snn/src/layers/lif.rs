@@ -357,12 +357,14 @@ impl Layer for LifLayer {
         let gd = grad_out.as_slice();
         let xd = x.as_slice();
         let ed = self.eps_next.as_ref().map(|t| t.as_slice());
+        let tau = self.grad_tau;
         let mut eps = Tensor::zeros(grad_out.shape().clone());
         match cfg.reset {
             ResetMode::Soft => {
                 // ε[t] = (∂L/∂o[t])·φ(x) + α·ε[t+1], where ∂L/∂o[t] is the
                 // downstream grad plus (optionally) the reset path from
-                // v[t+1] = … − ϑ·o[t].
+                // v[t+1] = … − ϑ·o[t]; the first term is 0 outside the τ
+                // window.
                 for_chunks_mut(eps.as_mut_slice(), PAR_MIN_NEURONS, |start, chunk| {
                     for (j, e) in chunk.iter_mut().enumerate() {
                         let i = start + j;
@@ -372,7 +374,7 @@ impl Layer for LifLayer {
                                 dldo += -cfg.v_threshold * ed[i];
                             }
                         }
-                        let mut v = dldo * cfg.surrogate.grad(xd[i]);
+                        let mut v = cfg.surrogate.grad_term(dldo, xd[i], tau);
                         if let Some(ed) = ed {
                             v += cfg.alpha * ed[i];
                         }
@@ -396,9 +398,10 @@ impl Layer for LifLayer {
                                 if !cfg.detach_reset {
                                     dldo -= ed[i] * cfg.alpha * vt;
                                 }
-                                dldo * cfg.surrogate.grad(xv) + ed[i] * cfg.alpha * (1.0 - o)
+                                cfg.surrogate.grad_term(dldo, xv, tau)
+                                    + ed[i] * cfg.alpha * (1.0 - o)
                             }
-                            None => gd[i] * cfg.surrogate.grad(xd[i]),
+                            None => cfg.surrogate.grad_term(gd[i], xd[i], tau),
                         };
                     }
                 });

@@ -319,17 +319,19 @@ impl Layer for PlifLayer {
         let alpha = self.alpha();
         let surrogate = self.config.surrogate;
         let t0 = Instant::now();
-        // ε[t] = g[t]·φ(x[t]) + α·ε[t+1]   (detached reset path), fused and
-        // chunk-parallel with the exact per-element operation order of the
-        // zip + axpy chain it replaces.
+        // ε[t] = g[t]·φ(x[t]) + α·ε[t+1]   (detached reset path, the first
+        // term 0 outside the τ window), fused and chunk-parallel with the
+        // exact per-element operation order of the zip + axpy chain it
+        // replaces.
         let gd = grad_out.as_slice();
         let xd = x.as_slice();
         let ed = self.eps_next.as_ref().map(|t| t.as_slice());
+        let tau = self.grad_tau;
         let mut eps = Tensor::zeros(grad_out.shape().clone());
         for_chunks_mut(eps.as_mut_slice(), PAR_MIN_NEURONS, |start, chunk| {
             for (j, e) in chunk.iter_mut().enumerate() {
                 let i = start + j;
-                let mut v = gd[i] * surrogate.grad(xd[i]);
+                let mut v = surrogate.grad_term(gd[i], xd[i], tau);
                 if let Some(ed) = ed {
                     v += alpha * ed[i];
                 }

@@ -70,6 +70,21 @@ impl Surrogate {
         self.grad(x).abs() > tau
     }
 
+    /// The backward's surrogate term `dldo · φ(x)`, with positive `tau`
+    /// making it `0.0` outside the active window — the exact value the
+    /// active-set backward leaves there, so `tau` is a training
+    /// hyperparameter and the dispatch between the two paths stays a pure
+    /// speed choice. At `tau = 0.0` it is the plain product.
+    #[inline]
+    pub fn grad_term(&self, dldo: f32, x: f32, tau: f32) -> f32 {
+        let d = self.grad(x);
+        if tau > 0.0 && d.abs() <= tau {
+            0.0
+        } else {
+            dldo * d
+        }
+    }
+
     /// Whether the active set is, for all practical purposes, the full
     /// neuron set at threshold `tau` — in which case emitting index lists
     /// would be pure overhead and the caller should stay on the dense path.

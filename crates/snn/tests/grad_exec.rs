@@ -348,3 +348,51 @@ fn tolerance_mode_stays_bounded() {
         assert!(max_abs < 1.0, "gradient {i} deviated by {max_abs}");
     }
 }
+
+/// At τ > 0 even atan's tails leave the active window, and both backward
+/// paths give the `dldo·φ′` term `0.0` there, so forcing the active set on
+/// or off still changes no value — for PLIF and LIF emitters alike.
+#[test]
+fn tau_window_applies_on_both_paths() {
+    let atan_net = |seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let geometry = |cin| Conv2dGeometry::square(cin, 4, 3, 1, 1);
+        Sequential::new("net")
+            .with(Box::new(
+                Conv2d::new("c1", geometry(2), true, &mut rng).unwrap(),
+            ))
+            .with(Box::new(
+                PlifLayer::new("plif1", PlifConfig::default()).unwrap(),
+            ))
+            .with(Box::new(
+                Conv2d::new("c2", geometry(4), false, &mut rng).unwrap(),
+            ))
+            .with(Box::new(
+                LifLayer::new("lif2", LifConfig::default()).unwrap(),
+            ))
+            .with(Box::new(Flatten::new("flat")))
+            .with(Box::new(
+                Linear::new("fc", 4 * 8 * 8, 3, true, &mut rng).unwrap(),
+            ))
+    };
+    let mut rng = StdRng::seed_from_u64(80);
+    let inputs: Vec<Tensor> = (0..3)
+        .map(|_| ndsnn_tensor::init::uniform([2, 2, 8, 8], -0.5, 1.5, &mut rng))
+        .collect();
+    let run = |threshold: f64, tau: f32| {
+        let mut net = atan_net(13);
+        net.set_grad_execution(threshold, tau);
+        let got = run_net(&mut net, &inputs);
+        (got, net.grad_exec_stats().gather_steps)
+    };
+    let (active, steps) = run(1.5, 0.1);
+    assert!(steps > 0, "active path never dispatched");
+    let (dense, dense_steps) = run(-1.0, 0.1);
+    assert_eq!(dense_steps, 0, "dense-forced net used active gathers");
+    let (exact, _) = run(-1.0, 0.0);
+    let grads = |r: &(Vec<Tensor>, Vec<Tensor>)| -> Vec<Vec<f32>> {
+        r.1.iter().map(|g| g.as_slice().to_vec()).collect()
+    };
+    assert_ne!(grads(&exact), grads(&dense), "τ 0.1 dropped no term");
+    assert_identical(active, dense);
+}

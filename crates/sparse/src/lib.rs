@@ -15,8 +15,7 @@
 //! - [`set`], [`rigl`]: constant-sparsity dynamic baselines,
 //! - [`lth`]: iterative magnitude pruning with rewinding,
 //! - [`admm`]: train-prune-retrain via ADMM,
-//! - [`csr`], [`memory`]: frozen-weight CSR kernels and the §III.D
-//!   memory-footprint model.
+//! - [`memory`]: the §III.D memory-footprint model of CSR-stored weights.
 //!
 //! ## Example: run one NDSNN drop-and-grow round
 //! ```
@@ -38,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod admm;
-pub mod csr;
 pub mod distribution;
 pub mod dynamic;
 pub mod engine;

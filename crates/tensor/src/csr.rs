@@ -14,6 +14,7 @@
 //! | packed transposed weight | `Csr<f32>` | [`Csr::from_dense_transposed`] |
 //! | frozen inference weight | `Csr<f32>` | [`Csr::from_dense`], [`Csr::from_weight`] |
 //! | int8 frozen weight | `Csr<i8>` | [`Csr::from_parts`] |
+//! | frozen conv weight's column view | `Csr` + values | [`Csr::column_view`] |
 //!
 //! Every constructor establishes the invariant the kernels index by:
 //! `row_ptr` has `rows + 1` non-decreasing entries from `0` to `nnz`, `val`
@@ -230,6 +231,39 @@ impl<V> Csr<V> {
     pub fn storage_bits(&self, b_w: u32, b_idx: u32) -> u64 {
         let nnz = self.nnz() as u64;
         nnz * u64::from(b_w) + nnz * u64::from(b_idx) + (self.rows as u64 + 1) * u64::from(b_idx)
+    }
+}
+
+impl<V: Copy> Csr<V> {
+    /// The column view of a row-view matrix: the index-only pattern of its
+    /// `cols × rows` transpose (row `c` lists the rows storing column `c`,
+    /// ascending) and the stored values in that pattern's entry order —
+    /// the operand shape of a training plan with its gathered values.
+    /// One counting pass, `O(nnz + rows + cols)`, with no dense
+    /// intermediate.
+    pub fn column_view(&self) -> (Csr, Vec<V>) {
+        let nnz = self.nnz();
+        let mut row_ptr = vec![0u32; self.cols + 1];
+        for &c in &self.idx {
+            row_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..self.cols].to_vec();
+        let (mut idx, mut src) = (vec![0u32; nnz], vec![0u32; nnz]);
+        // Rows ascend in the outer loop, so each column's rows come out
+        // ascending.
+        for r in 0..self.rows {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let slot = &mut next[self.idx[k as usize] as usize];
+                (idx[*slot as usize], src[*slot as usize]) = (r as u32, k);
+                *slot += 1;
+            }
+        }
+        let val = src.iter().map(|&k| self.val[k as usize]).collect();
+        let pattern = Csr::trusted(self.cols, self.rows, row_ptr, idx, vec![(); nnz]);
+        (pattern, val)
     }
 }
 
@@ -576,6 +610,69 @@ mod tests {
             prop_assert_eq!(packed.row_ptr(), pattern.row_ptr());
             prop_assert_eq!(packed.idx(), pattern.idx());
             prop_assert_eq!(&Csr::from_mask_transposed(rows, cols, &data), &pattern);
+            // So is the column view, which carries the values along.
+            let (view, vals) = valued.column_view();
+            prop_assert_eq!(&view, &pattern);
+            prop_assert_eq!(&vals[..], packed.val());
         }
+    }
+
+    /// A `rows × cols` matrix with ~70% exact zeros, so the skips execute.
+    fn sparse_matrix(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
+        use rand::Rng;
+        (0..rows * cols)
+            .map(|_| {
+                if rng.gen_bool(0.7) {
+                    0.0
+                } else {
+                    rng.gen_range(-0.5..0.5)
+                }
+            })
+            .collect()
+    }
+
+    /// The frozen value-carrying weight runs the plan's chain: `csr_xwt`
+    /// matches the dense product and `sp_xwt` over the index-only plan.
+    #[test]
+    fn csr_xwt_bitwise_matches_dense_and_pattern() {
+        use crate::ops::spmm::{csr_xwt, sp_xwt};
+        use rand::SeedableRng;
+        let (batch, rows, cols) = (3, 5, 7);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0001);
+        let (w, x) = (
+            sparse_matrix(rows, cols, &mut rng),
+            sparse_matrix(batch, cols, &mut rng),
+        );
+        let dense = crate::ops::matmul::matmul_a_bt(
+            &Tensor::from_vec([batch, cols], x.clone()).unwrap(),
+            &Tensor::from_vec([rows, cols], w.clone()).unwrap(),
+        )
+        .unwrap();
+        let (mut y_pat, mut y_csr) = (vec![0.0f32; batch * rows], vec![0.0f32; batch * rows]);
+        sp_xwt(&Csr::from_mask(rows, cols, &w), &w, &x, &mut y_pat, batch);
+        csr_xwt(&Csr::from_dense(rows, cols, &w), &x, &mut y_csr, batch);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y_csr), bits(dense.as_slice()), "csr vs dense");
+        assert_eq!(bits(&y_csr), bits(&y_pat), "csr vs pattern");
+    }
+
+    #[test]
+    fn csr_xwt_thread_count_invariant() {
+        use crate::ops::spmm::csr_xwt;
+        use crate::parallel::{run_serial, set_thread_override};
+        use rand::SeedableRng;
+        // Large enough to clear PAR_MIN_MACS when threads are available.
+        let (batch, rows, cols) = (8, 64, 600);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFACE);
+        let csr = Csr::from_dense(rows, cols, &sparse_matrix(rows, cols, &mut rng));
+        let x = sparse_matrix(batch, cols, &mut rng);
+        let mut y_serial = vec![0.0f32; batch * rows];
+        run_serial(|| csr_xwt(&csr, &x, &mut y_serial, batch));
+        set_thread_override(Some(4));
+        let mut y_par = vec![0.0f32; batch * rows];
+        csr_xwt(&csr, &x, &mut y_par, batch);
+        set_thread_override(None);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y_par), bits(&y_serial), "thread divergence");
     }
 }

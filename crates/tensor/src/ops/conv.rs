@@ -8,17 +8,21 @@
 //! input sample through an [`Im2colLayout`], so no dense col buffer is ever
 //! materialized — forward is `W · im2col(x)`, the weight gradient is
 //! `gy · im2col(x)ᵀ`, and the col gradient is `Wᵀ · gy` read through a
-//! transposed weight *layout* instead of a transposed copy. The weight-plan
-//! ([`sp_mm`]) and spike ([`spike_conv_fwd`], [`spike_conv_dw`]) dispatch
+//! transposed weight *layout* instead of a transposed copy. The sparse
 //! paths still lower explicitly (their kernels walk compressed structures,
-//! not tiles) and stay bit-identical to the dense core; a binary input is
-//! lowered only to its packed operand ([`im2col_packed`]), never to a dense
-//! col.
+//! not tiles) and stay bit-identical to the dense core: a weight read
+//! through its column view ([`ConvWeight`] — a training plan, or a frozen
+//! f32 or int8 weight) runs [`sp_mm`] over an [`im2col`] buffer, and a
+//! binary input is lowered only to its packed operand ([`im2col_packed`])
+//! for the spike walk ([`spike_conv_fwd`], [`spike_conv_dw`]). This is the
+//! only sparse conv forward: training and the frozen executor both call
+//! [`conv2d_forward`].
 
 use crate::error::{Result, TensorError};
 use crate::ops::grad::{gather_conv_dx, transpose_into};
 use crate::ops::layout::Im2colLayout;
-use crate::ops::spike::{spike_conv_dw, spike_conv_fwd, PackedSpikes};
+use crate::ops::quant::requantize_rows;
+use crate::ops::spike::{spike_conv_dw, spike_conv_fwd, spike_conv_fwd_dense, PackedSpikes};
 use crate::ops::spmm::{plan_values, sp_mm, sp_mm_t};
 use crate::ops::tile::{conv_fwd_tiled, gemm_tiled, NoEpilogue, PanelA, PanelB, TileEpilogue};
 use crate::parallel::SharedSlice;
@@ -151,14 +155,15 @@ pub fn im2col(
 /// materializing the dense `(C·KH·KW, OH·OW)` buffer.
 ///
 /// On return, row `r`'s entries span `pos[ptr[r]..ptr[r+1]]` (output
-/// positions `oy·OW + ox`, ascending within each row) and
-/// `vals[ptr[r]..ptr[r+1]]` (the pixel values), with `ptr` holding
-/// `col_rows + 1` offsets. The three vectors are cleared and refilled; pass
-/// pooled buffers to amortize the allocations. Exactly the entries a
-/// row-wise compression of [`im2col`]'s output would produce, at cost
-/// `O(nnz(input) · KH·KW)` instead of `O(C·KH·KW · OH·OW)` — the payoff for
-/// spiking activations that are mostly zeros.
-#[allow(clippy::too_many_arguments)] // im2col's signature + the three packed output vectors
+/// positions `oy·OW + ox`, ascending within each row), with `ptr` holding
+/// `col_rows + 1` offsets. Only positions are packed: the spike walk adds
+/// each weight once per position, so a pixel's value is never read. Both
+/// vectors are cleared and refilled; pass pooled buffers to amortize the
+/// allocations. Exactly the positions a row-wise compression of
+/// [`im2col`]'s output would keep, at cost `O(nnz(input) · KH·KW)` instead
+/// of `O(C·KH·KW · OH·OW)` — the payoff for spiking activations that are
+/// mostly zeros.
+#[allow(clippy::too_many_arguments)] // im2col's signature + the two packed output vectors
 pub fn im2col_packed(
     input: &[f32],
     g: &Conv2dGeometry,
@@ -168,7 +173,6 @@ pub fn im2col_packed(
     ow: usize,
     ptr: &mut Vec<u32>,
     pos: &mut Vec<u32>,
-    vals: &mut Vec<f32>,
     pool: &ScratchPool,
 ) {
     debug_assert_eq!(input.len(), g.in_channels * h * w);
@@ -237,20 +241,15 @@ pub fn im2col_packed(
     let total = ptr[cr] as usize;
     pos.clear();
     pos.resize(total, 0);
-    vals.clear();
-    vals.resize(total, 0.0);
     let mut cursor = pool.take_u32();
     cursor.extend_from_slice(&ptr[..cr]);
     for c in 0..g.in_channels {
         let chan = &input[c * h * w..(c + 1) * h * w];
         for iy in 0..h {
             for ix in 0..w {
-                let v = chan[iy * w + ix];
-                if v != 0.0 {
+                if chan[iy * w + ix] != 0.0 {
                     each_entry(g, oh, ow, c, iy, ix, &mut |r, p| {
-                        let k = cursor[r] as usize;
-                        pos[k] = p;
-                        vals[k] = v;
+                        pos[cursor[r] as usize] = p;
                         cursor[r] += 1;
                     });
                 }
@@ -336,79 +335,96 @@ fn check_weight(weight: &Tensor, g: &Conv2dGeometry) -> Result<()> {
     Ok(())
 }
 
-/// The kernel a forward convolution runs. Under its precondition every
-/// choice produces the bits of [`ConvKernel::Dense`].
+/// The weight operand of a forward convolution. Every choice produces the
+/// bits of the dense tiles over the equivalent dense weight.
 #[derive(Debug, Clone, Copy)]
-pub enum ConvKernel<'a> {
-    /// Implicit-GEMM tiles with the epilogue fused per tile.
-    Dense,
-    /// [`sp_mm`] over a weight plan: the index-only column view
-    /// ([`Csr::from_mask_transposed`]) of the weight viewed as
+pub enum ConvWeight<'a> {
+    /// The live dense `(F, C, KH, KW)` weight: implicit-GEMM tiles with the
+    /// epilogue fused per tile, or on a spike input the walk over every
+    /// filter ([`spike_conv_fwd_dense`]).
+    Dense(&'a Tensor),
+    /// The live dense weight read through its plan: the index-only column
+    /// view ([`Csr::from_mask_transposed`]) of the weight viewed as
     /// `F × (C·KH·KW)`, so `(C·KH·KW) × F`. The dense weight stays the
-    /// source of truth for values and must be zero off the plan.
-    WeightPlan(&'a Csr),
-    /// Multiply-free [`spike_conv_fwd`] over each sample's packed operand
-    /// ([`im2col_packed`]), visiting only the live weights of the plan when
-    /// one is given (the same column view as [`ConvKernel::WeightPlan`]).
-    /// The input must be binary spikes.
-    SpikeGather(Option<&'a Csr>),
+    /// source of truth for values and must be zero off the plan; its live
+    /// values are gathered once per call ([`plan_values`]), after which it
+    /// runs as [`ConvWeight::Cols`].
+    Plan(&'a Tensor, &'a Csr),
+    /// A column view as in [`ConvWeight::Plan`] and its values in entry
+    /// order: a frozen f32 weight's ([`Csr::column_view`]).
+    Cols(&'a Csr, &'a [f32]),
+    /// A frozen int8 weight's column view, its values, and one requantize
+    /// scale per filter: `i32` sums over the packed operand whatever
+    /// `spikes` says (any non-zero input is a spike, as in
+    /// [`crate::ops::quant::csr_xwt_i8`]), then [`requantize_rows`].
+    Int8(&'a Csr, &'a [i8], &'a [f32]),
 }
 
 /// Forward convolution `(B, C, H, W) -> (B, F, OH, OW)`:
 /// `out[s] = epi(W · im2col(x[s]))`, the epilogue's `row` being the output
 /// channel.
 ///
-/// `epi` carries the bias ([`crate::ops::tile::BiasRow`], or [`NoEpilogue`]
-/// without one) or the inference executor's frozen BatchNorm affine and LIF
-/// threshold ([`crate::ops::tile::AffineRow`],
-/// [`crate::ops::tile::AffineLifRow`]). Every kernel applies it after each
-/// element's full accumulation — fused per tile on the dense path, per
-/// output-channel row of each sample on the sparse ones — so the kernel
-/// choice never changes a bit. Workspaces come from `pool` and return to
-/// it, so a layer reuses the same allocations across all timesteps and
-/// epochs.
+/// `spikes` certifies the input binary: each sample is then packed to its
+/// fired col rows ([`PackedSpikes`]) and [`spike_conv_fwd`] adds each live
+/// weight at its row's fired taps — the walk training and frozen serving
+/// share. Otherwise a column view runs [`im2col`] + [`sp_mm`], and a dense
+/// weight the tiles. `epi` carries the bias ([`crate::ops::tile::BiasRow`],
+/// or [`NoEpilogue`]) or the executor's frozen affine and LIF threshold
+/// ([`crate::ops::tile::AffineRow`], [`crate::ops::tile::AffineLifRow`]);
+/// every path applies it after each element's full accumulation, so the
+/// path never changes a bit. The sparse paths run at most `BWD_MAX_BLOCKS`
+/// sample blocks in parallel, each taking its workspaces from `pool` once.
 pub fn conv2d_forward(
     input: &Tensor,
-    weight: &Tensor,
+    weight: ConvWeight<'_>,
     g: &Conv2dGeometry,
-    kernel: ConvKernel<'_>,
+    spikes: bool,
     epi: &impl TileEpilogue,
     pool: &ScratchPool,
 ) -> Result<Tensor> {
     let (b, h, w) = check_input(input, g)?;
-    check_weight(weight, g)?;
     let (oh, ow) = g.output_hw(h, w)?;
     let (cr, spatial) = (g.col_rows(), oh * ow);
     let mut out = Tensor::zeros([b, g.out_channels, oh, ow]);
     let in_stride = g.in_channels * h * w;
     let out_stride = g.out_channels * spatial;
-    let (pattern, spikes) = match kernel {
-        ConvKernel::Dense => {
-            let layout = Im2colLayout::new(g, h, w, oh, ow);
-            conv_fwd_tiled(
-                weight.as_slice(),
-                input.as_slice(),
-                &layout,
-                b,
-                in_stride,
-                out.as_mut_slice(),
-                out_stride,
-                epi,
-                pool,
-            );
-            return Ok(out);
-        }
-        ConvKernel::WeightPlan(pat) => (Some(pat), false),
-        ConvKernel::SpikeGather(plan) => (plan, true),
-    };
-    let w_data = weight.as_slice();
+    if let (ConvWeight::Dense(wt), false) = (weight, spikes) {
+        check_weight(wt, g)?;
+        let layout = Im2colLayout::new(g, h, w, oh, ow);
+        let (x, o) = (input.as_slice(), out.as_mut_slice());
+        conv_fwd_tiled(
+            wt.as_slice(),
+            x,
+            &layout,
+            b,
+            in_stride,
+            o,
+            out_stride,
+            epi,
+            pool,
+        );
+        return Ok(out);
+    }
     // The plan's live values, gathered once for every sample.
     let mut live = pool.take(0);
-    if let Some(pat) = pattern {
-        check_pattern(pat, g, cr)?;
-        plan_values(pat, w_data, &mut live);
-    }
-    let plan = pattern.map(|pat| (pat, &live[..]));
+    let weight = match weight {
+        ConvWeight::Dense(wt) => {
+            check_weight(wt, g)?;
+            weight
+        }
+        ConvWeight::Plan(wt, pat) => {
+            check_weight(wt, g)?;
+            check_pattern(pat, g, cr)?;
+            plan_values(pat, wt.as_slice(), &mut live);
+            ConvWeight::Cols(pat, &live)
+        }
+        ConvWeight::Cols(pat, _) | ConvWeight::Int8(pat, ..) => {
+            check_pattern(pat, g, cr)?;
+            weight
+        }
+    };
+    let int8 = matches!(weight, ConvWeight::Int8(..));
+    let walk = spikes || int8;
     // Samples write disjoint output slices, so sample blocks parallelize
     // across cores (inline on single-core hosts; see `crate::parallel`).
     let in_data = input.as_slice();
@@ -419,19 +435,34 @@ pub fn conv2d_forward(
         .enumerate()
         .collect();
     crate::parallel::parallel_for_chunks(chunks, |bi, out_block| {
-        let mut packed = spikes.then(|| PackedSpikes::take(pool));
+        let mut packed = walk.then(|| PackedSpikes::take(pool));
         // im2col writes every element (padding included), so stale pooled
         // contents are fine.
-        let mut col = (!spikes).then(|| pool.take(cr * spatial));
+        let mut col = (!walk).then(|| pool.take(cr * spatial));
+        let mut acc = int8.then(|| pool.take_i32_zeroed(out_stride));
         for (i, out_chunk) in out_block.chunks_mut(out_stride.max(1)).enumerate() {
             let s = bi * block + i;
             let sample = &in_data[s * in_stride..(s + 1) * in_stride];
             if let Some(x) = packed.as_mut() {
                 x.pack(sample, g, h, w, oh, ow, pool);
-                spike_conv_fwd(w_data, plan, x, out_chunk, g.out_channels, spatial);
-            } else if let (Some(col), Some((pat, vals))) = (col.as_mut(), plan) {
-                im2col(sample, g, h, w, oh, ow, col);
-                sp_mm(pat, vals, col, out_chunk, spatial);
+            }
+            match (weight, packed.as_ref(), col.as_mut(), acc.as_mut()) {
+                (ConvWeight::Dense(wt), Some(x), ..) => {
+                    spike_conv_fwd_dense(wt.as_slice(), x, out_chunk, spatial)
+                }
+                (ConvWeight::Cols(pat, vals), Some(x), ..) => {
+                    spike_conv_fwd(pat, vals, x, out_chunk, spatial)
+                }
+                (ConvWeight::Cols(pat, vals), None, Some(col), _) => {
+                    im2col(sample, g, h, w, oh, ow, col);
+                    sp_mm(pat, vals, col, out_chunk, spatial);
+                }
+                (ConvWeight::Int8(pat, q, scales), Some(x), _, Some(acc)) => {
+                    acc.fill(0);
+                    spike_conv_fwd(pat, q, x, acc, spatial);
+                    requantize_rows(acc, scales, out_chunk, spatial);
+                }
+                _ => unreachable!("tiles returned early and plans run as column views"),
             }
             if !epi.is_noop() {
                 for (f, row) in out_chunk.chunks_mut(spatial).enumerate() {
@@ -444,6 +475,9 @@ pub fn conv2d_forward(
         }
         if let Some(col) = col {
             pool.give(col);
+        }
+        if let Some(acc) = acc {
+            pool.give_i32(acc);
         }
     });
     pool.give(live);
@@ -490,7 +524,7 @@ impl TileEpilogue for FoldAndRezero<'_> {
 /// [`ConvBackward::default()`] is the dense backward.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConvBackward<'a> {
-    /// The weight plan's column view, as in [`ConvKernel::WeightPlan`]: the
+    /// The weight plan's column view, as in [`ConvWeight::Plan`]: the
     /// col-gradient product `Wᵀ·gy` runs over live weights only
     /// ([`sp_mm_t`]).
     pub weight_plan: Option<&'a Csr>,
@@ -746,9 +780,9 @@ mod tests {
     fn fwd(input: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Result<Tensor> {
         conv2d_forward(
             input,
-            weight,
+            ConvWeight::Dense(weight),
             g,
-            ConvKernel::Dense,
+            false,
             &NoEpilogue,
             &ScratchPool::new(),
         )
@@ -791,7 +825,7 @@ mod tests {
                 }
                 let mut col = vec![0.0; g.col_rows() * oh * ow];
                 im2col(input.as_slice(), &g, h, w, oh, ow, &mut col);
-                let (mut ptr, mut pos, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut ptr, mut pos) = (Vec::new(), Vec::new());
                 im2col_packed(
                     input.as_slice(),
                     &g,
@@ -801,28 +835,16 @@ mod tests {
                     ow,
                     &mut ptr,
                     &mut pos,
-                    &mut vals,
                     &pool,
                 );
                 assert_eq!(ptr.len(), g.col_rows() + 1);
-                let (mut eptr, mut epos, mut evals) = (vec![0u32], Vec::new(), Vec::new());
+                let (mut eptr, mut epos) = (vec![0u32], Vec::new());
                 for row in col.chunks_exact(oh * ow) {
-                    for (p, &v) in row.iter().enumerate() {
-                        if v != 0.0 {
-                            epos.push(p as u32);
-                            evals.push(v);
-                        }
-                    }
+                    epos.extend((0..oh * ow).filter(|&p| row[p] != 0.0).map(|p| p as u32));
                     eptr.push(epos.len() as u32);
                 }
                 assert_eq!(ptr, eptr, "geometry {g:?} density {density}");
                 assert_eq!(pos, epos, "geometry {g:?} density {density}");
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&vals),
-                    bits(&evals),
-                    "geometry {g:?} density {density}"
-                );
             }
         }
     }
@@ -859,9 +881,9 @@ mod tests {
         let pool = ScratchPool::new();
         let out = conv2d_forward(
             &input,
-            &weight,
+            ConvWeight::Dense(&weight),
             &g,
-            ConvKernel::Dense,
+            false,
             &BiasRow(&bias),
             &pool,
         )
@@ -945,17 +967,10 @@ mod tests {
         crate::parallel::run_serial(|| {
             let pool = ScratchPool::new();
             for _ in 0..3 {
-                let out =
-                    conv2d_forward(&input, &weight, &g, ConvKernel::Dense, &epi, &pool).unwrap();
-                let fresh = conv2d_forward(
-                    &input,
-                    &weight,
-                    &g,
-                    ConvKernel::Dense,
-                    &epi,
-                    &ScratchPool::new(),
-                )
-                .unwrap();
+                let tiles = ConvWeight::Dense(&weight);
+                let out = conv2d_forward(&input, tiles, &g, false, &epi, &pool).unwrap();
+                let fresh =
+                    conv2d_forward(&input, tiles, &g, false, &epi, &ScratchPool::new()).unwrap();
                 assert_eq!(out.as_slice(), fresh.as_slice());
 
                 let grads = conv2d_backward(&input, &weight, &grad_out, &g, &dense, &pool).unwrap();
@@ -1005,15 +1020,8 @@ mod tests {
         };
 
         let dense = fwd(&input, &weight, &g).unwrap();
-        let sparse = conv2d_forward(
-            &input,
-            &weight,
-            &g,
-            ConvKernel::WeightPlan(&pat),
-            &NoEpilogue,
-            &pool,
-        )
-        .unwrap();
+        let planned = ConvWeight::Plan(&weight, &pat);
+        let sparse = conv2d_forward(&input, planned, &g, false, &NoEpilogue, &pool).unwrap();
         assert_eq!(bits(&sparse), bits(&dense));
 
         let dg = bwd(&input, &weight, &grad_out, &g).unwrap();
@@ -1025,26 +1033,17 @@ mod tests {
         // A pattern whose shape disagrees with the geometry is rejected, and
         // so is the row view: plans are the column view.
         let row_view = Csr::from_mask(g.out_channels, g.col_rows(), &mask);
-        for kernel in [
-            ConvKernel::WeightPlan(&row_view),
-            ConvKernel::SpikeGather(Some(&row_view)),
-        ] {
-            assert!(conv2d_forward(&input, &weight, &g, kernel, &NoEpilogue, &pool).is_err());
+        for spikes in [false, true] {
+            let planned = ConvWeight::Plan(&weight, &row_view);
+            assert!(conv2d_forward(&input, planned, &g, spikes, &NoEpilogue, &pool).is_err());
         }
         let bad = Csr::from_mask(1, 2, &[1.0, 0.0]);
         let bad_plan = ConvBackward {
             weight_plan: Some(&bad),
             ..ConvBackward::default()
         };
-        assert!(conv2d_forward(
-            &input,
-            &weight,
-            &g,
-            ConvKernel::WeightPlan(&bad),
-            &NoEpilogue,
-            &pool
-        )
-        .is_err());
+        let planned = ConvWeight::Plan(&weight, &bad);
+        assert!(conv2d_forward(&input, planned, &g, false, &NoEpilogue, &pool).is_err());
         assert!(conv2d_backward(&input, &weight, &grad_out, &g, &bad_plan, &pool).is_err());
     }
 
@@ -1076,9 +1075,10 @@ mod tests {
         let pool = ScratchPool::new();
 
         for (w, plan) in [(&weight, None), (&masked, Some(&plan))] {
-            let dense = conv2d_forward(&input, w, &g, ConvKernel::Dense, &epi, &pool).unwrap();
-            let spike = ConvKernel::SpikeGather(plan);
-            let spike = conv2d_forward(&input, w, &g, spike, &epi, &pool).unwrap();
+            let dense = conv2d_forward(&input, ConvWeight::Dense(w), &g, false, &epi, &pool);
+            let weight = plan.map_or(ConvWeight::Dense(w), |p| ConvWeight::Plan(w, p));
+            let spike = conv2d_forward(&input, weight, &g, true, &epi, &pool).unwrap();
+            let dense = dense.unwrap();
             assert_eq!(bits(&spike), bits(&dense));
 
             let gather = ConvBackward {

@@ -12,11 +12,16 @@
 //! `NDSNN_THREADS` setting by construction, not by accumulation-order
 //! discipline.
 //!
-//! The kernels here take the weight as a [`Csr<i8>`] plus one f32 scale per
-//! row, so the artifact layer in `ndsnn-infer` can own the storage format
-//! while the arithmetic lives with the other kernels. Accumulator overflow is excluded by a compile-time
-//! bound checked where weights are quantized: a row of `nnz` int8 terms is
-//! bounded by `nnz · 127`, and the quantizer refuses rows with more than
+//! The linear kernel here takes the weight as a [`Csr<i8>`] plus one f32
+//! scale per row, so the artifact layer in `ndsnn-infer` can own the
+//! storage format while the arithmetic lives with the other kernels. The
+//! int8 convolution is no separate kernel: [`crate::ops::conv`]'s forward
+//! walks the weight's column view over each sample's fired col rows with
+//! the same spike walk training uses
+//! ([`crate::ops::spike::spike_conv_fwd`], accumulating `i32`), then calls
+//! [`requantize_rows`]. Accumulator overflow is excluded by a bound checked
+//! where weights are quantized: a row of `nnz` int8 terms is bounded by
+//! `nnz · 127`, and the quantizer refuses rows with more than
 //! [`MAX_QUANT_ROW_NNZ`] stored entries.
 
 use crate::ops::matmul::for_output_row_ranges;
@@ -57,61 +62,6 @@ pub fn csr_xwt_i8(w: &Csr<i8>, scales: &[f32], x: &[f32], y: &mut [f32], batch: 
             }
         }
     });
-}
-
-/// `acc(rows × n) += W_q · spikes(cols × n)` with `W_q` in int8 CSR and the
-/// activation given as packed fired positions — the quantized doubly-sparse
-/// frozen conv GEMM, and the multiply-free core of NDINF2 serving.
-///
-/// The activation layout is exactly what
-/// [`crate::ops::conv::im2col_packed`] emits: column `c` of the logical
-/// im2col matrix fires at output positions `pos[ptr[c]..ptr[c+1]]` (the
-/// packed *values* are ignored — binary inputs mean every fired value is
-/// 1). Each stored weight entry is then *added* to the `i32` accumulator of
-/// every fired position in its column: no multiplies anywhere in the loop
-/// nest. Requantize the accumulators with [`requantize_rows`].
-pub fn csr_mm_packed_i8(w: &Csr<i8>, ptr: &[u32], pos: &[u32], acc: &mut [i32], n: usize) {
-    debug_assert_eq!(ptr.len(), w.cols() + 1);
-    debug_assert_eq!(acc.len(), w.rows() * n);
-    for r in 0..w.rows() {
-        let arow = &mut acc[r * n..(r + 1) * n];
-        let (cis, qs) = w.row_entries(r);
-        for (&ci, &qv) in cis.iter().zip(qs) {
-            let qv = i32::from(qv);
-            let (s, e) = (ptr[ci as usize] as usize, ptr[ci as usize + 1] as usize);
-            for &p in &pos[s..e] {
-                arow[p as usize] += qv;
-            }
-        }
-    }
-}
-
-/// `acc(rows × n) += W_q · 1[b ≠ 0](cols × n)` with `W_q` in int8 CSR
-/// and the activation as a *dense* f32 im2col buffer — the streaming twin
-/// of [`csr_mm_packed_i8`] for busy spike batches.
-///
-/// Each stored weight entry streams its column's full activation row with a
-/// branch-free masked add (`q & -(b ≠ 0)` — still no multiplies), keeping
-/// every access contiguous. At high fire rates this beats the packed gather
-/// twice over: the compiler vectorizes the compare/and/add, and the gather's
-/// scattered read-modify-writes into a small accumulator row serialize on
-/// store-to-load dependencies. Integer accumulation is exact, so both
-/// kernels produce identical accumulators and dispatching between them is
-/// value-free.
-pub fn csr_mm_i8(w: &Csr<i8>, b: &[f32], acc: &mut [i32], n: usize) {
-    debug_assert_eq!(b.len(), w.cols() * n);
-    debug_assert_eq!(acc.len(), w.rows() * n);
-    for r in 0..w.rows() {
-        let arow = &mut acc[r * n..(r + 1) * n];
-        let (cis, qs) = w.row_entries(r);
-        for (&ci, &qv) in cis.iter().zip(qs) {
-            let qv = i32::from(qv);
-            let brow = &b[ci as usize * n..(ci as usize + 1) * n];
-            for (a, &bv) in arow.iter_mut().zip(brow) {
-                *a += qv & -i32::from(bv != 0.0);
-            }
-        }
-    }
 }
 
 /// Requantize-at-epilogue: `out[r·n + j] = scale[r] · acc[r·n + j]` — the
@@ -224,83 +174,6 @@ mod tests {
         set_thread_override(None);
         for (i, (a, b)) in y_par.iter().zip(&y_serial).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "thread divergence at {i}");
-        }
-    }
-
-    #[test]
-    fn packed_i8_matches_unpacked_gather() {
-        let (rows, cols, n) = (6, 11, 13);
-        let mut seed = 0xC0FFEEu64;
-        let (dense, w) = sparse_i8(rows, cols, &mut seed);
-        // Binary activation matrix b(cols × n) at a few densities, packed
-        // row-wise exactly like im2col_packed output.
-        for keep in [0, 1, 3, 10] {
-            let b: Vec<f32> = (0..cols * n)
-                .map(|_| f32::from(u8::from(keep > 0 && lcg(&mut seed) % 10 < keep)))
-                .collect();
-            let (mut ptr, mut pos) = (vec![0u32], Vec::new());
-            for row in b.chunks_exact(n) {
-                for (p, &v) in row.iter().enumerate() {
-                    if v != 0.0 {
-                        pos.push(p as u32);
-                    }
-                }
-                ptr.push(pos.len() as u32);
-            }
-            let mut acc = vec![0i32; rows * n];
-            csr_mm_packed_i8(&w, &ptr, &pos, &mut acc, n);
-            // Integer reference straight off the dense matrices.
-            for r in 0..rows {
-                for j in 0..n {
-                    let mut want = 0i32;
-                    for c in 0..cols {
-                        if b[c * n + j] != 0.0 {
-                            want += dense[r * cols + c];
-                        }
-                    }
-                    assert_eq!(
-                        acc[r * n + j],
-                        want,
-                        "acc mismatch at ({r},{j}) keep={keep}"
-                    );
-                }
-            }
-            // Requantize and check the scale lands per row.
-            let scales: Vec<f32> = (0..rows).map(|r| 0.5 + r as f32).collect();
-            let mut out = vec![7.0f32; rows * n];
-            requantize_rows(&acc, &scales, &mut out, n);
-            for r in 0..rows {
-                for j in 0..n {
-                    let want = scales[r] * acc[r * n + j] as f32;
-                    assert_eq!(out[r * n + j].to_bits(), want.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_i8_matches_packed_accumulators() {
-        let (rows, cols, n) = (7, 13, 19);
-        let mut seed = 0xBEEF5EEDu64;
-        let (_, w) = sparse_i8(rows, cols, &mut seed);
-        for keep in [0, 2, 5, 9] {
-            let b: Vec<f32> = (0..cols * n)
-                .map(|_| f32::from(u8::from(keep > 0 && lcg(&mut seed) % 10 < keep)))
-                .collect();
-            let (mut ptr, mut pos) = (vec![0u32], Vec::new());
-            for row in b.chunks_exact(n) {
-                for (p, &v) in row.iter().enumerate() {
-                    if v != 0.0 {
-                        pos.push(p as u32);
-                    }
-                }
-                ptr.push(pos.len() as u32);
-            }
-            let mut acc_packed = vec![0i32; rows * n];
-            csr_mm_packed_i8(&w, &ptr, &pos, &mut acc_packed, n);
-            let mut acc_stream = vec![0i32; rows * n];
-            csr_mm_i8(&w, &b, &mut acc_stream, n);
-            assert_eq!(acc_packed, acc_stream, "kernel divergence at keep={keep}");
         }
     }
 

@@ -7,12 +7,16 @@
 //! batch row (the same layout as a weight plan, but over *activations*), and
 //! the linear kernels here consume it.
 //!
-//! The conv kernels ([`spike_conv_fwd`], [`spike_conv_dw`]) consume one
-//! sample's *packed operand* instead ([`PackedSpikes`]): [`im2col_packed`]'s
-//! per-col-row lists of fired output positions, built straight from the
-//! input's fired pixels. A padding tap or a silent pixel never gets an
-//! entry, so both kernels walk only the col rows that have one — at a 1×1
-//! input under padding 1, eight of nine taps read padding and never appear.
+//! The conv kernels ([`spike_conv_fwd`], [`spike_conv_fwd_dense`],
+//! [`spike_conv_dw`]) consume one sample's *packed operand* instead
+//! ([`PackedSpikes`]): [`im2col_packed`]'s per-col-row lists of fired
+//! output positions, built straight from the input's fired pixels. A
+//! padding tap or a silent pixel never gets an entry, so the kernels walk
+//! only the col rows that have one — at a 1×1 input under padding 1, eight
+//! of nine taps read padding and never appear. The forward walk is the one
+//! sparse conv forward of the crate: training runs it over a weight plan,
+//! the frozen executor over an f32 or int8 weight's column view
+//! (accumulating int8 into `i32`, see [`crate::ops::quant`]).
 //!
 //! ## Bit-identity with the dense kernels
 //!
@@ -41,6 +45,8 @@
 //! [`spike_density_threshold_from_env`] (`NDSNN_SPIKE_DENSITY_THRESHOLD`)
 //! per timestep and fall back to dense when a batch fires densely — the same
 //! scheme PR 1 uses for weight sparsity (`NDSNN_DENSITY_THRESHOLD`).
+
+use std::ops::AddAssign;
 
 use crate::ops::conv::{im2col_packed, Conv2dGeometry};
 use crate::ops::spmm::live_row;
@@ -150,8 +156,6 @@ pub struct PackedSpikes {
     ptr: Vec<u32>,
     pos: Vec<u32>,
     rows: Vec<u32>,
-    /// The packed pixel values: all `1.0` for a binary input, never read.
-    vals: Vec<f32>,
 }
 
 impl PackedSpikes {
@@ -161,11 +165,12 @@ impl PackedSpikes {
             ptr: pool.take_u32(),
             pos: pool.take_u32(),
             rows: pool.take_u32(),
-            vals: pool.take(0),
         }
     }
 
-    /// Packs one binary `(C, H, W)` sample, replacing the previous contents.
+    /// Packs one `(C, H, W)` sample, replacing the previous contents. Every
+    /// non-zero pixel counts as a spike: the caller certifies the input
+    /// binary (or, for int8 weights, wants exactly that reading).
     #[allow(clippy::too_many_arguments)] // im2col's signature + the pool
     pub fn pack(
         &mut self,
@@ -177,12 +182,11 @@ impl PackedSpikes {
         ow: usize,
         pool: &ScratchPool,
     ) {
-        let (ptr, pos, vals) = (&mut self.ptr, &mut self.pos, &mut self.vals);
-        im2col_packed(sample, g, h, w, oh, ow, ptr, pos, vals, pool);
-        debug_assert!(vals.iter().all(|&v| v == 1.0), "spike input not binary");
+        im2col_packed(sample, g, h, w, oh, ow, &mut self.ptr, &mut self.pos, pool);
         self.rows.clear();
         self.rows.extend(
-            ptr.windows(2)
+            self.ptr
+                .windows(2)
                 .enumerate()
                 .filter(|(_, span)| span[0] < span[1])
                 .map(|(r, _)| r as u32),
@@ -194,7 +198,6 @@ impl PackedSpikes {
         pool.give_u32(self.ptr);
         pool.give_u32(self.pos);
         pool.give_u32(self.rows);
-        pool.give(self.vals);
     }
 
     /// Col rows (`C·KH·KW`).
@@ -210,61 +213,57 @@ impl PackedSpikes {
 }
 
 /// Forward convolution of one sample over its packed spike operand:
-/// `out(F × spatial) += W(F × cr) · col(cr × spatial)`.
+/// `out(F × spatial) += W(F × cr) · col(cr × spatial)`, with `W` given as
+/// its column view `cols` (`cr × F`, the live filters of each col row,
+/// ascending) and their values `vals` in entry order: a training plan with
+/// its [`plan_values`](crate::ops::spmm::plan_values), or a frozen f32 or
+/// int8 weight's [`crate::Csr::column_view`] (int8 sums into `A = i32`).
 ///
 /// Only col rows with a fired position are walked, in ascending order, and
-/// each live weight `W[f, r]` is added at `r`'s positions. With a `plan` —
-/// the weight's `cr × F` column view ([`crate::Csr::from_mask_transposed`])
-/// and its live values ([`plan_values`](crate::ops::spmm::plan_values)) —
-/// the live filters of row `r` are the plan's; without one they are every
-/// filter, skipping `W == 0`.
-/// Either way each output element sums its terms in ascending `r` from the
-/// `+0.0` of a zeroed `out`: the chain of the dense tiles, so results are
-/// bit-identical to them (see the module doc for why the dropped `±0.0`
-/// terms are exact no-ops). The work is live weights × fired taps. Serial
-/// by design: the conv layers call it per sample from inside
-/// already-parallel workers.
-pub fn spike_conv_fwd(
-    w: &[f32],
-    plan: Option<(&Csr, &[f32])>,
-    x: &PackedSpikes,
-    out: &mut [f32],
-    f_out: usize,
-    spatial: usize,
-) {
-    let cr = x.col_rows();
-    debug_assert_eq!(w.len(), f_out * cr);
-    debug_assert_eq!(out.len(), f_out * spatial);
-    match plan {
-        Some((plan, vals)) => {
-            debug_assert_eq!(plan.dims(), (cr, f_out));
-            for &r in &x.rows {
-                let at = x.fired(r);
-                for (f, wv) in live_row(plan, vals, r as usize) {
-                    if wv == 0.0 {
-                        // Freshly grown connections sit at zero until updated.
-                        continue;
-                    }
-                    let orow = &mut out[f * spatial..(f + 1) * spatial];
-                    for &p in at {
-                        orow[p as usize] += wv;
-                    }
-                }
+/// each live weight `W[f, r]` is added at `r`'s positions, skipping stored
+/// zeros: each output element sums its terms in ascending `r` from the zero
+/// of a zeroed `out` — for f32 the chain of the dense tiles, so the bits
+/// match them (the module doc shows why dropped `±0.0` terms are no-ops),
+/// for int8 an exact integer sum. The work is live weights × fired taps.
+/// Serial: the conv forward calls it per sample from parallel workers.
+pub fn spike_conv_fwd<V, A>(cols: &Csr, vals: &[V], x: &PackedSpikes, out: &mut [A], spatial: usize)
+where
+    V: Copy + PartialEq + Default,
+    A: Copy + AddAssign + From<V>,
+{
+    debug_assert_eq!(cols.rows(), x.col_rows());
+    debug_assert_eq!(vals.len(), cols.nnz());
+    debug_assert_eq!(out.len(), cols.cols() * spatial);
+    for &r in &x.rows {
+        let at = x.fired(r);
+        for (f, wv) in live_row(cols, vals, r as usize) {
+            if wv == V::default() {
+                // Freshly grown connections sit at zero until updated.
+                continue;
+            }
+            let (orow, wv) = (&mut out[f * spatial..(f + 1) * spatial], A::from(wv));
+            for &p in at {
+                orow[p as usize] += wv;
             }
         }
-        // Filter-major keeps one weight row and one output row hot; each
-        // element's chain is still ascending in `r`.
-        None => {
-            for (wrow, orow) in w.chunks_exact(cr).zip(out.chunks_exact_mut(spatial)) {
-                for &r in &x.rows {
-                    let wv = wrow[r as usize];
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    for &p in x.fired(r) {
-                        orow[p as usize] += wv;
-                    }
-                }
+    }
+}
+
+/// [`spike_conv_fwd`] over every filter of a dense row-major `W(F × cr)`,
+/// skipping `W == 0`: the spike walk of a layer without a weight plan.
+/// Filter-major keeps one weight row and one output row hot; each element's
+/// chain is still ascending in `r`, so the bits are the same.
+pub fn spike_conv_fwd_dense(w: &[f32], x: &PackedSpikes, out: &mut [f32], spatial: usize) {
+    let cr = x.col_rows();
+    debug_assert_eq!(w.len() / cr.max(1) * spatial, out.len());
+    for (wrow, orow) in w.chunks_exact(cr).zip(out.chunks_exact_mut(spatial)) {
+        for &r in &x.rows {
+            let wv = wrow[r as usize];
+            if wv == 0.0 {
+                continue;
+            }
+            for &p in x.fired(r) {
+                orow[p as usize] += wv;
             }
         }
     }
@@ -374,13 +373,7 @@ mod tests {
             }
             ptr.push(pos.len() as u32);
         }
-        let vals = vec![1.0; pos.len()];
-        PackedSpikes {
-            ptr,
-            pos,
-            rows,
-            vals,
-        }
+        PackedSpikes { ptr, pos, rows }
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -410,14 +403,17 @@ mod tests {
             let x = pack_rows(&col, spatial);
             let mut dense = vec![0.0f32; f_out * spatial];
             matmul_into(w.as_slice(), col.as_slice(), &mut dense, f_out, cr, spatial);
-            for plan in [None, Some((&plan, &live[..]))] {
+            for with_plan in [false, true] {
                 let mut got = vec![0.0f32; f_out * spatial];
-                spike_conv_fwd(w.as_slice(), plan, &x, &mut got, f_out, spatial);
+                if with_plan {
+                    spike_conv_fwd(&plan, &live, &x, &mut got, spatial);
+                } else {
+                    spike_conv_fwd_dense(w.as_slice(), &x, &mut got, spatial);
+                }
                 assert_eq!(
                     bits(&got),
                     bits(&dense),
-                    "density {density}, plan {}",
-                    plan.is_some()
+                    "density {density}, plan {with_plan}"
                 );
             }
         }

@@ -17,7 +17,10 @@
 //! values once per call ([`plan_values`]) and every sample reads them
 //! contiguously. The per-element chains do not depend on the orientation:
 //! each output element still sums its live terms in ascending order. The
-//! linear kernels read the row view ([`Csr::from_mask`]).
+//! linear kernels read the row view ([`Csr::from_mask`]); a frozen model
+//! has no stale values to avoid, so its linear layers run a value-carrying
+//! `Csr<f32>` ([`csr_xwt`]) and its convs that weight's column view with
+//! values ([`Csr::column_view`]).
 //!
 //! Kernels accumulate (`out +=`), matching the dense kernels in
 //! [`crate::ops::matmul`]; callers pass zeroed outputs for plain products.
@@ -40,12 +43,13 @@ pub fn plan_values(pat: &Csr, w: &[f32], vals: &mut Vec<f32>) {
 }
 
 /// Row `c` of the column view `pat`: each live row index of weight column
-/// `c` with its value from [`plan_values`], ascending.
-pub(crate) fn live_row<'a>(
+/// `c` with its value (from [`plan_values`], or a frozen weight's
+/// [`Csr::column_view`]), ascending.
+pub(crate) fn live_row<'a, V: Copy>(
     pat: &'a Csr,
-    vals: &'a [f32],
+    vals: &'a [V],
     c: usize,
-) -> impl Iterator<Item = (usize, f32)> + 'a {
+) -> impl Iterator<Item = (usize, V)> + 'a {
     let span = pat.row_ptr()[c] as usize..pat.row_ptr()[c + 1] as usize;
     let rows = pat.idx()[span.clone()].iter().map(|&r| r as usize);
     rows.zip(vals[span].iter().copied())
@@ -136,6 +140,40 @@ pub fn sp_xwt(pat: &Csr, w: &[f32], x: &[f32], y: &mut [f32], batch: usize) {
             }
         },
     );
+}
+
+/// [`sp_xwt`] over a frozen value-carrying weight: `y(batch × rows) +=
+/// x(batch × cols) · Wᵀ` with `W` in CSR — the frozen linear-layer forward,
+/// on the same row partition.
+///
+/// Bit-identical to [`crate::ops::matmul::matmul_a_bt`] and to [`sp_xwt`]
+/// on the equivalent dense weight: per output element the stored terms are
+/// accumulated in ascending-column order into a `+0.0`-seeded register, and
+/// the terms CSR does not store are exact dense zeros whose `±0.0`
+/// contributions cannot change such a chain (the zero-skip argument of
+/// [`crate::ops::spike`]). The `x == 0.0` skip serves spiking activations.
+pub fn csr_xwt(w: &Csr<f32>, x: &[f32], y: &mut [f32], batch: usize) {
+    let (rows, cols) = w.dims();
+    debug_assert_eq!(x.len(), batch * cols);
+    debug_assert_eq!(y.len(), batch * rows);
+    for_output_row_ranges(y, batch, rows, batch * w.nnz(), |s0, count, y_rows| {
+        for s in 0..count {
+            let xrow = &x[(s0 + s) * cols..(s0 + s + 1) * cols];
+            let yrow = &mut y_rows[s * rows..(s + 1) * rows];
+            for (r, yv) in yrow.iter_mut().enumerate() {
+                let (cis, vals) = w.row_entries(r);
+                let mut acc = 0.0f32;
+                for (&ci, &wv) in cis.iter().zip(vals) {
+                    let xv = xrow[ci as usize];
+                    if xv == 0.0 {
+                        continue;
+                    }
+                    acc += wv * xv;
+                }
+                *yv += acc;
+            }
+        }
+    });
 }
 
 /// `dx(batch × cols) += gy(batch × rows) · W` — the linear-layer input

@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use ndsnn_tensor::ops::conv::{
-    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvKernel,
+    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvWeight,
 };
 use ndsnn_tensor::ops::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use ndsnn_tensor::ops::reduce::{cross_entropy_with_grad, softmax};
@@ -22,7 +22,14 @@ fn tensor_1d(max_len: usize) -> impl Strategy<Value = Tensor> {
 
 /// Dense forward with no epilogue.
 fn fwd(x: &Tensor, w: &Tensor, g: &Conv2dGeometry) -> ndsnn_tensor::Result<Tensor> {
-    conv2d_forward(x, w, g, ConvKernel::Dense, &NoEpilogue, &ScratchPool::new())
+    conv2d_forward(
+        x,
+        ConvWeight::Dense(w),
+        g,
+        false,
+        &NoEpilogue,
+        &ScratchPool::new(),
+    )
 }
 
 /// Dense backward.
@@ -365,8 +372,8 @@ proptest! {
         let pool = ScratchPool::new();
         for threads in [1usize, 2] {
             set_thread_override(Some(threads));
-            let kernel = ConvKernel::SpikeGather(plan.as_ref());
-            let got = conv2d_forward(&x, &w, &g, kernel, &BiasRow(bias.as_slice()), &pool);
+            let weight = plan.as_ref().map_or(ConvWeight::Dense(&w), |p| ConvWeight::Plan(&w, p));
+            let got = conv2d_forward(&x, weight, &g, true, &BiasRow(bias.as_slice()), &pool);
             let grads = conv2d_backward(&x, &w, &gy, &g, &dispatch, &pool);
             set_thread_override(None);
             let (got, grads) = (got.unwrap(), grads.unwrap());

@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 
 use ndsnn_tensor::ops::conv::{
-    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvKernel,
+    conv2d_backward, conv2d_forward, Conv2dGeometry, ConvBackward, ConvWeight,
 };
 use ndsnn_tensor::ops::matmul::{matmul, matmul_a_bt, matmul_a_bt_epilogue, matmul_at_b};
 use ndsnn_tensor::ops::tile::{
@@ -114,7 +114,7 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let _force = ForceTiling::new(threads);
             let epi = BiasRow(bias.as_slice());
-            let fwd = conv2d_forward(&x, &w, &g, ConvKernel::Dense, &epi, &pool).unwrap();
+            let fwd = conv2d_forward(&x, ConvWeight::Dense(&w), &g, false, &epi, &pool).unwrap();
             assert_bits("conv fwd", fwd.as_slice(), want_fwd.as_slice())?;
             let bwd = conv2d_backward(&x, &w, &gy, &g, &ConvBackward::default(), &pool).unwrap();
             assert_bits("conv dW", bwd.weight_grad.as_slice(), want_bwd.weight_grad.as_slice())?;
@@ -157,10 +157,10 @@ proptest! {
 
             // Conv: fused per-channel bias vs unfused conv + bias pass.
             let fused = conv2d_forward(
-                &x, &w, &g, ConvKernel::Dense, &BiasRow(cbias.as_slice()), &pool,
+                &x, ConvWeight::Dense(&w), &g, false, &BiasRow(cbias.as_slice()), &pool,
             ).unwrap();
             let mut unfused =
-                conv2d_forward(&x, &w, &g, ConvKernel::Dense, &NoEpilogue, &pool).unwrap();
+                conv2d_forward(&x, ConvWeight::Dense(&w), &g, false, &NoEpilogue, &pool).unwrap();
             for (i, v) in unfused.as_mut_slice().iter_mut().enumerate() {
                 *v += cbias.as_slice()[i / 49 % 3];
             }
@@ -213,13 +213,13 @@ proptest! {
 
         for threads in [1usize, 2, 4] {
             let _force = ForceTiling::new(threads);
-            let dense = conv2d_forward(&x, &w, &g, ConvKernel::Dense, &epi, &pool).unwrap();
-            for (label, kernel) in [
-                ("weight plan", ConvKernel::WeightPlan(&pat)),
-                ("spike gather", ConvKernel::SpikeGather(None)),
-                ("spike gather over the plan", ConvKernel::SpikeGather(Some(&pat))),
+            let dense = conv2d_forward(&x, ConvWeight::Dense(&w), &g, false, &epi, &pool).unwrap();
+            for (label, weight, spikes) in [
+                ("weight plan", ConvWeight::Plan(&w, &pat), false),
+                ("spike gather", ConvWeight::Dense(&w), true),
+                ("spike gather over the plan", ConvWeight::Plan(&w, &pat), true),
             ] {
-                let got = conv2d_forward(&x, &w, &g, kernel, &epi, &pool).unwrap();
+                let got = conv2d_forward(&x, weight, &g, spikes, &epi, &pool).unwrap();
                 assert_bits(label, got.as_slice(), dense.as_slice())?;
             }
         }

@@ -115,16 +115,22 @@ fn sparse_dispatch_matches_dense_trajectory() {
     let atan = Surrogate::Atan;
     let rect = Surrogate::Rectangle { width: 1.0 };
     // (surrogate, weight-plan, spike-gather and active-set thresholds,
-    // threads). The first arm of each surrogate is its reference.
-    let arms: [(Surrogate, f64, f64, f64, usize); 8] = [
-        (atan, OFF, OFF, OFF, 1),
-        (atan, ON, OFF, OFF, 1),
-        (atan, ON, ON, OFF, 1),
-        (atan, W_DEF, S_DEF, G_DEF, 2),
-        (rect, OFF, OFF, OFF, 1),
-        (rect, ON, ON, ON, 1),
-        (rect, ON, ON, ON, 2),
-        (rect, W_DEF, S_DEF, G_DEF, 2),
+    // threads, τ). The first arm of each (surrogate, τ) is its reference.
+    // At τ > 0 even atan's tails fall outside the active window, so the
+    // dense backward must drop them exactly where the gather does.
+    let arms: [(Surrogate, f64, f64, f64, usize, f32); 12] = [
+        (atan, OFF, OFF, OFF, 1, 0.0),
+        (atan, ON, OFF, OFF, 1, 0.0),
+        (atan, ON, ON, OFF, 1, 0.0),
+        (atan, W_DEF, S_DEF, G_DEF, 2, 0.0),
+        (rect, OFF, OFF, OFF, 1, 0.0),
+        (rect, ON, ON, ON, 1, 0.0),
+        (rect, ON, ON, ON, 2, 0.0),
+        (rect, W_DEF, S_DEF, G_DEF, 2, 0.0),
+        (atan, W_DEF, S_DEF, OFF, 1, 0.1),
+        (atan, W_DEF, S_DEF, ON, 1, 0.1),
+        (atan, W_DEF, S_DEF, OFF, 2, 0.1),
+        (atan, W_DEF, S_DEF, ON, 2, 0.1),
     ];
     let mut cfg = Profile::Smoke.run_config(
         Architecture::Vgg16,
@@ -153,15 +159,15 @@ fn sparse_dispatch_matches_dense_trajectory() {
         Vec<(usize, usize, usize)>,
         Vec<(String, Vec<u32>)>,
     );
-    let mut reference: Option<(Surrogate, Trace)> = None;
-    for (arm, &(surrogate, weight, spike, grad, threads)) in arms.iter().enumerate() {
+    let mut reference: Option<((Surrogate, f32), Trace)> = None;
+    for (arm, &(surrogate, weight, spike, grad, threads, tau)) in arms.iter().enumerate() {
         cfg.surrogate = surrogate;
         let mut net = build_network(&cfg).unwrap();
         let mut engine = DynamicEngine::with_label("NDSNN", config).unwrap();
         engine.set_density_threshold(weight);
         engine.init(&mut net.layers).unwrap();
         configure_spike_execution(&mut net.layers, spike);
-        configure_grad_execution(&mut net.layers, grad, 0.0);
+        configure_grad_execution(&mut net.layers, grad, tau);
         set_thread_override(Some(threads));
         let loader = BatchLoader::eval(cfg.batch_size);
         let mut opt = Sgd::new(cfg.sgd);
@@ -221,12 +227,12 @@ fn sparse_dispatch_matches_dense_trajectory() {
             .collect();
         let trace: Trace = (losses, history, masks);
         match &reference {
-            Some((s, want)) if *s == surrogate => {
+            Some((key, want)) if *key == (surrogate, tau) => {
                 assert_eq!(want.0, trace.0, "arm {arm}: loss bits diverged");
                 assert_eq!(want.1, trace.1, "arm {arm}: drop/grow decisions diverged");
                 assert!(want.2 == trace.2, "arm {arm}: mask bits diverged");
             }
-            _ => reference = Some((surrogate, trace)),
+            _ => reference = Some(((surrogate, tau), trace)),
         }
     }
 }
